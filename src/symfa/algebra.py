@@ -4,6 +4,13 @@ A binding fixes the letter domain and dispatches evaluation, satisfiability
 and canonicalization.  Two automata can be combined only when their bindings
 are equal.  Satisfiability checks route through an OpCounters so callers can
 meter how many times an operation touched the solver.
+
+Each algebra also has a solved form, the denotation of a predicate: the
+canonical interval tuple of intervals.to_dnf, or the 2^k-bit truth table of
+propositional.mask_of.  Both are falsy exactly when empty, and the binding
+combines them with meet/join/complement, so constructions denote every
+transition once and decide emptiness, overlap and coverage on the results
+instead of building and re-walking predicate trees.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +18,7 @@ from dataclasses import dataclass, field
 from . import intervals, propositional
 from .errors import BindingMismatch, UnsupportedAlgebra
 from .predicates import (
+    FULL_INTERVAL,
     And,
     Atom,
     IntervalAtom,
@@ -108,21 +116,7 @@ class AlgebraBinding:
 
     def evaluate(self, p: Predicate, letter) -> bool:
         """Does this letter satisfy p?"""
-        if isinstance(p, _TruePred):
-            return True
-        if isinstance(p, _FalsePred):
-            return False
-        if isinstance(p, Atom):
-            if self.kind == INTERVAL:
-                return p.payload.contains(letter)
-            return propositional.eval_literal(p.payload, letter)
-        if isinstance(p, And):
-            return all(self.evaluate(c, letter) for c in p.children)
-        if isinstance(p, Or):
-            return any(self.evaluate(c, letter) for c in p.children)
-        if isinstance(p, Not):
-            return not self.evaluate(p.child, letter)
-        raise TypeError(f"not a predicate: {p!r}")
+        return _holds(p, letter)
 
     def sat(self, p: Predicate, counters: OpCounters | None = None):
         """A witness letter satisfying p, or None.  Counts one sat call."""
@@ -141,6 +135,64 @@ class AlgebraBinding:
             return intervals.dnf_to_pred(intervals.to_dnf(p))
         return propositional.prop_to_dnf(p)
 
+    def denote(self, p: Predicate):
+        """p's solved form: canonical interval tuple or truth-table int."""
+        if self.kind == INTERVAL:
+            return intervals.to_dnf(p)
+        return propositional.mask_of(p, self.k)
+
+    @property
+    def full(self):
+        """Solved form of TRUE."""
+        if self.kind == INTERVAL:
+            return (FULL_INTERVAL,)
+        return propositional.full_mask(self.k)
+
+    def meet(self, x, y):
+        if self.kind == INTERVAL:
+            return intervals.intersect_dnf(x, y)
+        return x & y
+
+    def complement(self, x):
+        if self.kind == INTERVAL:
+            return intervals.complement_intervals(x)
+        return propositional.full_mask(self.k) ^ x
+
+    def join(self, xs):
+        """Union of a list of solved forms."""
+        if self.kind == INTERVAL:
+            return intervals.canonical_union([atom for x in xs for atom in x])
+        acc = 0
+        for x in xs:
+            acc |= x
+        return acc
+
+    def overlapping(self, xs) -> bool:
+        """Do two members of the list share a letter?
+
+        Intervals sort all atoms by start and test neighbours (members are
+        canonical, so a member never overlaps itself); truth tables test
+        each member against the OR of the ones before it.
+        """
+        if self.kind == INTERVAL:
+            return intervals.any_overlap(xs)
+        acc = 0
+        for x in xs:
+            if acc & x:
+                return True
+            acc |= x
+        return False
+
+    def basic_preds(self, x) -> list:
+        """Pairwise disjoint basic predicates whose union denotes x: one
+        atom per interval, or propositional.disjoint_monomials."""
+        if self.kind == INTERVAL:
+            return [Atom(atom) for atom in x]
+        return [
+            propositional.monomial_to_pred(m)
+            for m in propositional.disjoint_monomials(x, self.k)
+        ]
+
     def prop_name(self, var: int) -> str:
         return self.props[var]
 
@@ -149,6 +201,33 @@ class AlgebraBinding:
             return self.props.index(name)
         except ValueError:
             raise UnsupportedAlgebra(f"unknown proposition {name!r}") from None
+
+
+def _holds(p: Predicate, letter) -> bool:
+    kind = type(p)
+    if kind is Atom:
+        atom = p.payload
+        if type(atom) is IntervalAtom:
+            return atom.lo <= letter < atom.hi
+        # letter bits are 0/1, so the literal holds iff bit != negated
+        return letter[atom.var] != atom.negated
+    if kind is And:
+        for c in p.children:
+            if not _holds(c, letter):
+                return False
+        return True
+    if kind is Or:
+        for c in p.children:
+            if _holds(c, letter):
+                return True
+        return False
+    if kind is Not:
+        return not _holds(p.child, letter)
+    if kind is _TruePred:
+        return True
+    if kind is _FalsePred:
+        return False
+    raise TypeError(f"not a predicate: {p!r}")
 
 
 def interval_binding() -> AlgebraBinding:

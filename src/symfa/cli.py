@@ -16,7 +16,7 @@ import time
 from . import operations, oracle, transforms
 from .algebra import OpCounters
 from .dot import export_dot
-from .errors import SfaError
+from .errors import FormatError, SfaError
 from .operations import ProductMode
 from .serialize import emit_sfa, parse_sfa
 from .sfa import membership, size_triple, validate
@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
+def _read(path: str):
+    """Parse a file without checking its invariants (for `validate`)."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -104,6 +105,16 @@ def _load(path: str):
         return parse_sfa(text)
     except SfaError as e:
         raise SfaError(f"{path}: {e}") from None
+
+
+def _load(path: str):
+    """Parse a file and reject it unless it is well-formed, so no algorithm
+    ever runs on an automaton that violates the format invariants."""
+    a = _read(path)
+    issues = validate(a)
+    if issues:
+        raise FormatError(f"{path}: " + "; ".join(issues))
+    return a
 
 
 def _parse_word(raw: str, binding):
@@ -173,7 +184,7 @@ def _dispatch(args) -> int:
     cmd = args.cmd
     counters = OpCounters()
     if cmd == "validate":
-        a = _load(args.sfa)
+        a = _read(args.sfa)
         t0 = time.perf_counter()
         issues = validate(a)
         _report(args, cmd, [a], None, counters, _ms(t0), issues)
@@ -262,6 +273,10 @@ def main(argv=None) -> int:
         return 2
     except (TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        # exit 1 means "the answer is false", so a crash must not reach it
+        print(f"error: unexpected {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

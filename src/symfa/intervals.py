@@ -78,19 +78,40 @@ def complement_intervals(dnf: IntervalDnf) -> IntervalDnf:
 
 
 def intersect_dnf(xs: IntervalDnf, ys: IntervalDnf) -> IntervalDnf:
-    """Pairwise intersection of two canonical lists.
+    """Intersection of two canonical lists in one merge pass.
 
-    At most len(xs)+len(ys) intersections are proper: each left endpoint of
-    the result is a left endpoint of one input, and within one canonical
-    list a left endpoint starts at most one interval.
+    Pieces come out sorted, and none touch: both inputs have real gaps
+    between members, so the result is canonical as built.  A piece equal
+    to one of the two atoms it came from reuses that atom.
     """
     out = []
-    for x in xs:
-        for y in ys:
-            z = atom_and(x, y)
-            if z is not None:
-                out.append(z)
-    return canonical_union(out)
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x.hi < y.hi:
+            i += 1
+            inner, outer = x, y
+        else:
+            j += 1
+            inner, outer = y, x
+        if outer.lo <= inner.lo:
+            out.append(inner)
+        elif outer.lo < inner.hi:
+            out.append(IntervalAtom(outer.lo, inner.hi))
+    return tuple(out)
+
+
+def any_overlap(dnfs) -> bool:
+    """Do two of these canonical lists share a point?
+
+    Sorted by start, any overlapping pair implies an overlapping pair of
+    neighbours; atoms of one canonical list never overlap each other.
+    """
+    spans = sorted((a.lo, a.hi) for d in dnfs for a in d)
+    for (_, hi), (lo, _) in zip(spans, spans[1:]):
+        if lo < hi:
+            return True
+    return False
 
 
 def to_nnf(p: Predicate) -> Predicate:
@@ -129,6 +150,8 @@ def to_dnf(p: Predicate) -> IntervalDnf:
     intersection, which adds rather than multiplies atom counts.  The result
     has at most 2 * predicate_size(p) atoms.
     """
+    if type(p) is Atom:
+        return (p.payload,)
     return _dnf(to_nnf(p))
 
 

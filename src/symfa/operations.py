@@ -7,28 +7,26 @@ determinization is a reachable-subset construction whose transitions are
 satisfiable minterms, minimization is Moore partition refinement.  Neat
 inputs produce neat outputs throughout: interval negation expands into
 atoms, propositional residuals into disjoint monomials.
+
+Every construction denotes each transition predicate once, in its
+algebra's solved form (see algebra.py), and runs its emptiness tests on
+those denotations.  A denotation costs O(l) interval operations yielding
+at most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
+each test after that is a merge of two interval lists or one AND of two
+truth tables.  The predicates on the output are built exactly as before.
 """
 
 from enum import Enum
 
 from .algebra import OpCounters
 from .errors import NondeterministicInput, SfaError
-from .intervals import (
-    atom_and,
-    basic_to_atom,
-    complement_intervals,
-    intersect_dnf,
-    to_dnf,
-)
 from .predicates import (
     Atom,
-    FULL_INTERVAL,
     PredicateClass,
     classify,
     mk_and,
     mk_or,
 )
-from .propositional import all_valuations, disjoint_monomials, mask_of, monomial_to_pred
 from .sfa import (
     Sfa,
     Transition,
@@ -63,6 +61,7 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     and requires deterministic complete inputs (a missing move in one
     component would silently drop words of the other).  Basic interval
     predicates conjoin into a single atom, so neat inputs give neat output.
+    Each component transition is denoted once; a pair costs one meet.
     """
     counters = counters if counters is not None else OpCounters()
     a.binding.check_same(b.binding)
@@ -71,8 +70,8 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
             raise SfaError("union requires deterministic inputs")
         if not (is_complete(a, counters) and is_complete(b, counters)):
             raise SfaError("union requires complete inputs")
-    out_a = a.out_map()
-    out_b = b.out_map()
+    out_a = _denoted(a)
+    out_b = _denoted(b)
     start = (a.initial, b.initial)
     order = [start]
     seen = {start}
@@ -81,9 +80,9 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     while i < len(order):
         q1, q2 = order[i]
         i += 1
-        for t1 in out_a[q1]:
-            for t2 in out_b[q2]:
-                pred = _conjoin(a.binding, t1.pred, t2.pred, counters)
+        for t1, d1 in out_a[q1]:
+            for t2, d2 in out_b[q2]:
+                pred = _conjoin(a.binding, t1.pred, d1, t2.pred, d2, counters)
                 if pred is None:
                     continue
                 target = (t1.dst, t2.dst)
@@ -106,23 +105,27 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     )
 
 
-def _conjoin(binding, p1, p2, counters):
+def _denoted(a: Sfa):
+    """state id -> list of (transition, denotation of its predicate)."""
+    denote = a.binding.denote
+    return {q: [(t, denote(t.pred)) for t in ts] for q, ts in a.out_map().items()}
+
+
+def _conjoin(binding, p1, d1, p2, d2, counters):
     """Satisfiable conjunction of two transition predicates, or None.
 
-    Two basic interval predicates fold into one atom; anything else stays a
-    conjunction node checked by the algebra's decision procedure.
+    Emptiness is decided on the meet of their denotations.  Two basic
+    interval predicates fold into the one atom of that meet; anything else
+    stays a conjunction node.
     """
     counters.conj_built += 1
+    counters.sat_calls += 1
+    meet = binding.meet(d1, d2)
+    if not meet:
+        return None
     if binding.is_monotonic and _is_basic(p1) and _is_basic(p2):
-        counters.sat_calls += 1
-        x = basic_to_atom(p1)
-        y = basic_to_atom(p2)
-        if x is None or y is None:
-            return None
-        z = atom_and(x, y)
-        return Atom(z) if z is not None else None
-    pred = mk_and([p1, p2])
-    return pred if binding.is_sat(pred, counters) else None
+        return Atom(meet[0])
+    return mk_and([p1, p2])
 
 
 def _is_basic(p) -> bool:
@@ -157,7 +160,10 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """
     counters = counters if counters is not None else OpCounters()
     a = to_feasible(a, counters)
-    out = a.out_map()
+    out = {
+        q: [(t, d, a.binding.complement(d)) for t, d in ts]
+        for q, ts in _denoted(a).items()
+    }
     start = frozenset({a.initial})
     order = [start]
     seen = {start}
@@ -166,8 +172,8 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     while i < len(order):
         macro = order[i]
         i += 1
-        ts = [t for q in sorted(macro) for t in out[q]]
-        for pred, target in _minterms(a.binding, ts, counters):
+        moves = [move for q in sorted(macro) for move in out[q]]
+        for pred, target in _minterms(a.binding, moves, counters):
             edges.append(Transition(subset_name(macro), pred, subset_name(target)))
             if target not in seen:
                 seen.add(target)
@@ -181,53 +187,32 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     )
 
 
-def _minterms(binding, ts, counters):
+def _minterms(binding, moves, counters):
     """Satisfiable minterms of a transition list, as (pred, target) pairs.
 
-    Depth-first over include/exclude choices per transition, carrying the
-    partial conjunction in solved form (canonical intervals or a valuation
-    mask) and pruning empty ones; each emptiness test counts as a sat call.
+    moves holds (transition, denotation, complement) triples.  Depth-first
+    over include/exclude choices per transition, carrying the partial
+    conjunction in solved form and pruning empty ones; each emptiness test
+    counts as a sat call.
     """
     results = []
-    if binding.is_monotonic:
-        dnfs = [to_dnf(t.pred) for t in ts]
-        negs = [complement_intervals(d) for d in dnfs]
 
-        def rec(j, cur, included):
-            counters.sat_calls += 1
-            if not cur:
-                return
-            if j == len(ts):
-                if included:
-                    target = frozenset(t.dst for t in included)
-                    for atom in cur:
-                        results.append((Atom(atom), target))
-                return
-            counters.conj_built += 2
-            rec(j + 1, intersect_dnf(cur, dnfs[j]), included + [ts[j]])
-            rec(j + 1, intersect_dnf(cur, negs[j]), included)
+    def rec(j, cur, included):
+        counters.sat_calls += 1
+        if not cur:
+            return
+        if j == len(moves):
+            if included:
+                target = frozenset(t.dst for t in included)
+                for pred in binding.basic_preds(cur):
+                    results.append((pred, target))
+            return
+        counters.conj_built += 2
+        t, den, neg = moves[j]
+        rec(j + 1, binding.meet(cur, den), included + [t])
+        rec(j + 1, binding.meet(cur, neg), included)
 
-        rec(0, (FULL_INTERVAL,), [])
-    else:
-        k = binding.k
-        masks = [mask_of(t.pred, k) for t in ts]
-        full = frozenset(all_valuations(k))
-
-        def rec(j, cur, included):
-            counters.sat_calls += 1
-            if not cur:
-                return
-            if j == len(ts):
-                if included:
-                    target = frozenset(t.dst for t in included)
-                    for m in disjoint_monomials(cur, k):
-                        results.append((monomial_to_pred(m), target))
-                return
-            counters.conj_built += 2
-            rec(j + 1, cur & masks[j], included + [ts[j]])
-            rec(j + 1, cur - masks[j], included)
-
-        rec(0, full, [])
+    rec(0, binding.full, [])
     return results
 
 
@@ -258,16 +243,18 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     c = complete(a, counters)
     sink = c.states[-1] if len(c.states) > len(a.states) else None
     out = c.out_map()
+    moves = {q: [(t.dst, c.binding.denote(t.pred)) for t in ts] for q, ts in out.items()}
     index = {q: i for i, q in enumerate(c.states)}
     block = {q: (q in c.accepting) for q in c.states}
 
     def one_step_equal(p, q):
-        for t1 in out[p]:
-            for t2 in out[q]:
-                if block[t1.dst] == block[t2.dst]:
+        for dst1, d1 in moves[p]:
+            for dst2, d2 in moves[q]:
+                if block[dst1] == block[dst2]:
                     continue
                 counters.conj_built += 1
-                if c.binding.is_sat(mk_and([t1.pred, t2.pred]), counters):
+                counters.sat_calls += 1
+                if c.binding.meet(d1, d2):
                     return False
         return True
 

@@ -10,6 +10,7 @@ least one representative letter, so agreement over the window implies
 agreement over all integers (tests only draw endpoints inside the window).
 """
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -132,9 +133,9 @@ def separating_word(a: Sfa, b: Sfa, alphabet=None, mode: str = "equal"):
     db = concretize(b, alphabet)
     start = (da.initial, db.initial)
     seen = {start}
-    queue = [(start, ())]
+    queue = deque([(start, ())])
     while queue:
-        (sa, sb), word = queue.pop(0)
+        (sa, sb), word = queue.popleft()
         in_a = sa in da.accepting
         in_b = sb in db.accepting
         if (in_a != in_b) if mode == "equal" else (in_a and not in_b):

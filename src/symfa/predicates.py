@@ -160,7 +160,7 @@ def mk_and(ps) -> Predicate:
     an honest reflection of what was built.
     """
     children = _flatten(And, ps)
-    if any(c is FALSE or isinstance(c, _FalsePred) for c in children):
+    if any(isinstance(c, _FalsePred) for c in children):
         return FALSE
     children = [c for c in children if not isinstance(c, _TruePred)]
     if not children:

@@ -2,11 +2,15 @@
 
 Atoms are literals (a proposition or its negation), so basic predicates are
 monomials and their satisfiability is a linear contradiction scan.  General
-predicates fall back to valuation enumeration, which is why k is capped.
-There is no unique minimal monomial cover for a valuation set, so nothing
-here canonicalizes general propositional predicates.
+predicates are decided on their truth table: an int of 2^k bits whose bit i
+is the predicate's value on valuation i of all_valuations.  Building one
+costs O(l) big-int operations on 2^k bits for a predicate of size l, which
+is why k is capped.  There is no unique minimal monomial cover for a
+valuation set, so nothing here canonicalizes general propositional
+predicates.
 """
 
+import functools
 from itertools import product
 
 from .predicates import (
@@ -24,7 +28,7 @@ from .predicates import (
     mk_or,
 )
 
-# Enumeration is 2^k; keep it desk-scale.
+# Truth tables are 2^k bits; keep them desk-scale.
 MAX_PROPS = 16
 
 Valuation = tuple
@@ -35,8 +39,22 @@ def all_valuations(k: int):
     return product((0, 1), repeat=k)
 
 
-def eval_literal(lit: LiteralAtom, v: Valuation) -> bool:
-    return v[lit.var] == (0 if lit.negated else 1)
+def full_mask(k: int) -> int:
+    """Truth table of TRUE: all 2^k bits set."""
+    return (1 << (1 << k)) - 1
+
+
+@functools.cache
+def _var_mask(var: int, k: int) -> int:
+    """Truth table of proposition var: valuation i sets it iff bit k-1-var
+    of i is set, so the table repeats h zeros then h ones, h = 2^(k-1-var).
+    Doubling the pattern costs O(var) shifts instead of a 2^k loop."""
+    h = 1 << (k - 1 - var)
+    mask, width = ((1 << h) - 1) << h, 2 * h
+    while width < 1 << k:
+        mask |= mask << width
+        width <<= 1
+    return mask
 
 
 def monomial_sat(lits, k: int) -> Valuation | None:
@@ -81,33 +99,18 @@ def prop_sat(p: Predicate, k: int) -> Valuation | None:
     """First satisfying valuation in lexicographic order, or None.
 
     Basic predicates short-circuit through the contradiction scan; general
-    ones enumerate all 2^k valuations.
+    ones take the lowest set bit of their truth table.
     """
     if k > MAX_PROPS:
         raise ValueError(f"propositional algebra capped at {MAX_PROPS} propositions, got {k}")
     lits = _literals_of_basic(p)
     if lits is not None:
         return monomial_sat(lits, k)
-    for v in all_valuations(k):
-        if eval_prop(p, v):
-            return v
-    return None
-
-
-def eval_prop(p: Predicate, v: Valuation) -> bool:
-    if isinstance(p, _TruePred):
-        return True
-    if isinstance(p, _FalsePred):
-        return False
-    if isinstance(p, Atom):
-        return eval_literal(p.payload, v)
-    if isinstance(p, And):
-        return all(eval_prop(c, v) for c in p.children)
-    if isinstance(p, Or):
-        return any(eval_prop(c, v) for c in p.children)
-    if isinstance(p, Not):
-        return not eval_prop(p.child, v)
-    raise TypeError(f"not a predicate: {p!r}")
+    mask = mask_of(p, k)
+    if not mask:
+        return None
+    i = (mask & -mask).bit_length() - 1
+    return tuple((i >> (k - 1 - j)) & 1 for j in range(k))
 
 
 def prop_nnf(p: Predicate) -> Predicate:
@@ -206,34 +209,60 @@ def prop_to_dnf(p: Predicate) -> Predicate:
     return mk_or([monomial_to_pred(m) for m in mono])
 
 
-def mask_of(p: Predicate, k: int) -> frozenset:
-    """The denotation of p as a set of valuations."""
-    return frozenset(v for v in all_valuations(k) if eval_prop(p, v))
+def mask_of(p: Predicate, k: int) -> int:
+    """The denotation of p as a truth table (bit i = valuation i)."""
+    return _mask(p, k, full_mask(k))
 
 
-def disjoint_monomials(vals: frozenset, k: int):
-    """Cover a valuation set by pairwise disjoint monomials.
+def _mask(p: Predicate, k: int, full: int) -> int:
+    kind = type(p)
+    if kind is Atom:
+        lit = p.payload
+        mask = _var_mask(lit.var, k)
+        return full ^ mask if lit.negated else mask
+    if kind is And:
+        acc = full
+        for c in p.children:
+            acc &= _mask(c, k, full)
+        return acc
+    if kind is Or:
+        acc = 0
+        for c in p.children:
+            acc |= _mask(c, k, full)
+        return acc
+    if kind is Not:
+        return full ^ _mask(p.child, k, full)
+    if kind is _TruePred:
+        return full
+    if kind is _FalsePred:
+        return 0
+    raise TypeError(f"not a predicate: {p!r}")
+
+
+def disjoint_monomials(mask: int, k: int):
+    """Cover a truth table by pairwise disjoint monomials.
 
     Decision-tree decomposition on variables in index order: a subtree that
     is uniformly full emits the monomial of its path, so the cover is exact
-    and its members never overlap.  Used where expanded predicates must not
-    reintroduce nondeterminism.
+    and its members never overlap.  At depth i the subtree is a table of
+    2^(k-i) bits whose low half has variable i false.  Used where expanded
+    predicates must not reintroduce nondeterminism.
     """
     out = []
 
-    def rec(i, path, vs):
-        if not vs:
+    def rec(i, path, m):
+        if not m:
             return
-        if len(vs) == 1 << (k - i):
+        width = 1 << (k - i)
+        if m == (1 << width) - 1:
             out.append(tuple(path))
             return
-        zeros = frozenset(v for v in vs if v[i] == 0)
-        ones = vs - zeros
+        half = width >> 1
         path.append(LiteralAtom(i, negated=True))
-        rec(i + 1, path, zeros)
+        rec(i + 1, path, m & ((1 << half) - 1))
         path[-1] = LiteralAtom(i, negated=False)
-        rec(i + 1, path, ones)
+        rec(i + 1, path, m >> half)
         path.pop()
 
-    rec(0, [], vals)
+    rec(0, [], mask)
     return out

@@ -33,6 +33,15 @@ from .sfa import Sfa, Transition
 
 
 def parse_sfa(text: str) -> Sfa:
+    """Parse a file's text; a predicate nested past the interpreter's
+    recursion limit is a FormatError like any other malformed input."""
+    try:
+        return _parse_document(text)
+    except RecursionError:
+        raise FormatError("predicate nested too deeply") from None
+
+
+def _parse_document(text: str) -> Sfa:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

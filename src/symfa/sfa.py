@@ -8,7 +8,6 @@ normalized, feasible) and the size triple <n, m, l>.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import AlgebraBinding, OpCounters
 from .predicates import (
@@ -22,9 +21,6 @@ from .predicates import (
     _TruePred,
     classify,
     iter_atoms,
-    mk_and,
-    mk_not,
-    mk_or,
     predicate_size,
 )
 
@@ -56,10 +52,6 @@ class Sfa:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-
-    def out(self, q: str):
-        """Outgoing transitions of q, in declaration order."""
-        return [t for t in self.transitions if t.src == q]
 
     def out_map(self):
         """state id -> list of outgoing transitions."""
@@ -121,30 +113,33 @@ def _check_pred(binding: AlgebraBinding, p: Predicate) -> list:
 def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:
     """No two distinct transitions from one state admit a common letter.
 
-    One sat call (on the built conjunction) per transition pair, stopping
-    at the first overlap.
+    Each state with two or more outgoing transitions denotes them once and
+    makes one sat call: an overlap test on the denotations, stopping at the
+    first state that has one.
     """
-    for q in a.states:
-        outs = a.out(q)
-        for t1, t2 in combinations(outs, 2):
-            if counters is not None:
-                counters.conj_built += 1
-            if a.binding.is_sat(mk_and([t1.pred, t2.pred]), counters):
-                return False
+    binding = a.binding
+    for ts in a.out_map().values():
+        if len(ts) < 2:
+            continue
+        if counters is not None:
+            counters.sat_calls += 1
+        if binding.overlapping([binding.denote(t.pred) for t in ts]):
+            return False
     return True
 
 
 def is_complete(a: Sfa, counters: OpCounters | None = None) -> bool:
     """Every state has a transition for every letter.
 
-    Checks sat of the negated disjunction of each state's outgoing
-    predicates; complete iff every residual is unsatisfiable.
+    One sat call per state: the complement of the union of its outgoing
+    denotations must be empty.
     """
-    for q in a.states:
-        preds = [t.pred for t in a.out(q)]
+    binding = a.binding
+    for ts in a.out_map().values():
         if counters is not None:
-            counters.disj_built += max(0, len(preds) - 1)
-        if a.binding.is_sat(mk_not(mk_or(preds)), counters):
+            counters.sat_calls += 1
+            counters.disj_built += max(0, len(ts) - 1)
+        if binding.complement(binding.join([binding.denote(t.pred) for t in ts])):
             return False
     return True
 

@@ -10,12 +10,7 @@ structural equality.
 
 from .algebra import OpCounters
 from .errors import UnsupportedAlgebra
-from .intervals import (
-    basic_to_atom,
-    canonical_union,
-    complement_intervals,
-    to_dnf,
-)
+from .intervals import canonical_union, to_dnf
 from .predicates import (
     Atom,
     PredicateClass,
@@ -24,13 +19,7 @@ from .predicates import (
     mk_not,
     mk_or,
 )
-from .propositional import (
-    all_valuations,
-    disjoint_monomials,
-    mask_of,
-    monomial_to_pred,
-    monomials_of,
-)
+from .propositional import monomial_to_pred, monomials_of
 from .sfa import (
     Sfa,
     Transition,
@@ -105,47 +94,34 @@ def to_feasible(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Add a non-accepting sink absorbing every uncovered letter.
 
-    Already-complete automata come back unchanged.  Neat input stays neat:
-    interval residuals are the gaps between a state's covered intervals (at
-    most out-degree + 1 single-atom edges per state), propositional
-    residuals are disjoint monomials covering the missing valuations.
-    Otherwise each state gets one edge labeled with the negated disjunction
-    of its outgoing predicates, when satisfiable.  Completion never breaks
+    Already-complete automata come back unchanged.  Each state's residual
+    is the complement of the union of its outgoing denotations.  Neat input
+    stays neat: the residual becomes basic predicates, the gaps between the
+    covered intervals (at most out-degree + 1 single-atom edges per state)
+    or disjoint monomials covering the missing valuations.  Otherwise each
+    state gets one edge labeled with the negated disjunction of its
+    outgoing predicates, when satisfiable.  Completion never breaks
     determinism: all added predicates avoid the covered letters.
     """
     counters = counters if counters is not None else OpCounters()
     if is_complete(a, counters):
         return a
+    binding = a.binding
     sink = fresh_state_name(set(a.states), "sink")
-    out = a.out_map()
+    neat = is_neat(a)
     edges = []
-    if a.binding.is_monotonic and is_neat(a):
-        for q in a.states:
-            atoms = []
-            for t in out[q]:
-                atom = basic_to_atom(t.pred)
-                if atom is not None:
-                    atoms.append(atom)
-            for gap in complement_intervals(canonical_union(atoms)):
-                edges.append(Transition(q, Atom(gap), sink))
-    elif not a.binding.is_monotonic and is_neat(a):
-        full = frozenset(all_valuations(a.binding.k))
-        for q in a.states:
-            covered = set()
-            for t in out[q]:
-                covered |= mask_of(t.pred, a.binding.k)
-            for m in disjoint_monomials(frozenset(full - covered), a.binding.k):
-                edges.append(Transition(q, monomial_to_pred(m), sink))
-    else:
-        for q in a.states:
-            preds = [t.pred for t in out[q]]
-            if not preds:
-                edges.append(Transition(q, TRUE, sink))
-                continue
+    for q, ts in a.out_map().items():
+        preds = [t.pred for t in ts]
+        residual = binding.complement(binding.join([binding.denote(p) for p in preds]))
+        if neat:
+            edges.extend(Transition(q, p, sink) for p in binding.basic_preds(residual))
+        elif not preds:
+            edges.append(Transition(q, TRUE, sink))
+        else:
             counters.disj_built += len(preds) - 1
-            residual = mk_not(mk_or(preds))
-            if a.binding.is_sat(residual, counters):
-                edges.append(Transition(q, residual, sink))
+            counters.sat_calls += 1
+            if residual:
+                edges.append(Transition(q, mk_not(mk_or(preds)), sink))
     edges.append(Transition(sink, TRUE, sink))
     return Sfa(
         a.binding,

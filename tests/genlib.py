@@ -197,9 +197,18 @@ def rand_det_prop_sfa(rng: random.Random, k=3, n_max=4, complete=True) -> Sfa:
             if not chunk or (not complete and rng.random() < 0.25):
                 continue
             dst = rng.choice(states)
-            for m in disjoint_monomials(frozenset(chunk), k):
+            mask = sum(1 << _valuation_index(v) for v in chunk)
+            for m in disjoint_monomials(mask, k):
                 edges.append(Transition(q, monomial_to_pred(m), dst))
     return Sfa(binding, states, states[0], _accepting(rng, states), tuple(edges))
+
+
+def _valuation_index(v) -> int:
+    """Position of a valuation in all_valuations order (its truth-table bit)."""
+    i = 0
+    for bit in v:
+        i = 2 * i + bit
+    return i
 
 
 # ---------------------------------------------------------------------------

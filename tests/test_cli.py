@@ -14,6 +14,7 @@ from symfa import (
     parse_sfa,
     product,
 )
+from symfa import operations
 from symfa.cli import main
 from conftest import DATA
 
@@ -186,3 +187,33 @@ def test_bad_word_letter_exits_2(capsys):
     code, _, err = run(capsys, "member", TWO_STATE, "--word", "abc")
     assert code == 2
     assert "bad letter" in err
+
+
+def test_undeclared_state_exits_2_not_1(capsys, tmp_path):
+    bad = tmp_path / "undeclared.sfa"
+    bad.write_text('{"algebra": "interval", "states": ["q"], "initial": "q", "accepting": ["q"],'
+                   ' "transitions": [{"from": "q", "pred": "true", "to": "zz"}]}')
+    code, _, err = run(capsys, "equiv", str(bad), TWO_STATE)
+    assert code == 2
+    assert err.startswith("error:") and "'zz'" in err
+    assert run(capsys, "validate", str(bad))[0] == 1
+
+
+def test_deeply_nested_predicate_exits_2_not_1(capsys, tmp_path):
+    deep = tmp_path / "deep.sfa"
+    pred = '{"not": ' * 3000 + '"true"' + "}" * 3000
+    deep.write_text('{"algebra": "interval", "states": ["q"], "initial": "q", "accepting": [],'
+                    ' "transitions": [{"from": "q", "pred": ' + pred + ', "to": "q"}]}')
+    code, _, err = run(capsys, "equiv", str(deep), TWO_STATE)
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_unexpected_exception_exits_2_not_1(capsys, monkeypatch):
+    def crash(*args):
+        raise KeyError("q9")
+
+    monkeypatch.setattr(operations, "equivalent", crash)
+    code, _, err = run(capsys, "equiv", TWO_STATE, TWO_STATE)
+    assert code == 2
+    assert err.startswith("error: unexpected KeyError")

@@ -16,7 +16,6 @@ from symfa import (
 from symfa.propositional import (
     all_valuations,
     disjoint_monomials,
-    eval_prop,
     mask_of,
     monomial_sat,
     monomial_to_pred,
@@ -27,10 +26,16 @@ from symfa.propositional import (
 from genlib import rand_prop_pred
 
 K = 3
+BINDING = propositional_binding(["p1", "p2", "p3"])
 
 
 def lit(var, neg=False):
     return Atom(LiteralAtom(var, neg))
+
+
+def table(vals, k=K):
+    """Truth table with a bit set for each listed valuation."""
+    return sum(1 << i for i, v in enumerate(all_valuations(k)) if v in vals)
 
 
 def test_monomial_sat_assigns_required_polarities():
@@ -49,7 +54,7 @@ def test_monomial_sat_empty_is_all_zero():
 def test_prop_sat_returns_first_lexicographic_witness():
     psi = Or((And((lit(0), lit(1, True))), And((lit(0), lit(1), lit(2)))))
     assert prop_sat(psi, K) == (1, 0, 0)
-    assert mask_of(psi, K) == {(1, 0, 0), (1, 0, 1), (1, 1, 1)}
+    assert mask_of(psi, K) == table({(1, 0, 0), (1, 0, 1), (1, 1, 1)})
 
 
 def test_prop_sat_contradiction_is_none():
@@ -69,7 +74,7 @@ def test_prop_sat_agrees_with_enumeration():
     rng = random.Random(21)
     for _ in range(300):
         p = rand_prop_pred(rng, K, rng.randint(1, 8))
-        expect = next((v for v in all_valuations(K) if eval_prop(p, v)), None)
+        expect = next((v for v in all_valuations(K) if BINDING.evaluate(p, v)), None)
         assert prop_sat(p, K) == expect
 
 
@@ -103,11 +108,39 @@ def test_disjoint_monomials_partition_their_mask():
     rng = random.Random(25)
     vals = list(all_valuations(K))
     for _ in range(200):
-        chosen = frozenset(v for v in vals if rng.random() < 0.5)
+        chosen = table({v for v in vals if rng.random() < 0.5})
         cover = disjoint_monomials(chosen, K)
-        seen = set()
+        seen = 0
         for m in cover:
             mask = mask_of(monomial_to_pred(m), K)
             assert not (mask & seen)
             seen |= mask
         assert seen == chosen
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_truth_tables_agree_with_evaluate_exhaustively(k):
+    binding = propositional_binding([f"p{i + 1}" for i in range(k)])
+    vals = list(all_valuations(k))
+    rng = random.Random(k)
+    for _ in range(25):
+        p = rand_prop_pred(rng, k, rng.randint(4, 12))
+        truth = [binding.evaluate(p, v) for v in vals]
+        mask = mask_of(p, k)
+        assert [mask >> i & 1 == 1 for i in range(len(vals))] == truth
+        assert prop_sat(p, k) == next((v for v, t in zip(vals, truth) if t), None)
+        cover = disjoint_monomials(mask, k)
+        assert sum(mask_of(monomial_to_pred(m), k) for m in cover) == mask
+
+
+def test_k16_witnesses_satisfy_and_contradictions_are_none():
+    k = 16
+    binding = propositional_binding([f"p{i + 1}" for i in range(k)])
+    rng = random.Random(16)
+    for _ in range(20):
+        p = rand_prop_pred(rng, k, rng.randint(6, 14))
+        w = prop_sat(p, k)
+        if w is not None:
+            assert binding.evaluate(p, w)
+        assert prop_sat(Not(Or((p, Not(p)))), k) is None
+        assert prop_sat(And((p, Not(p))), k) is None

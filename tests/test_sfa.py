@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from symfa import (
     Atom,
     IntervalAtom,
     NEG_INF,
+    Not,
     OpCounters,
     POS_INF,
     Sfa,
@@ -20,14 +22,23 @@ from symfa import (
     is_normalized,
     membership,
     mk_and,
+    mk_not,
     mk_or,
+    propositional_binding,
     size_triple,
     to_normalized,
     validate,
 )
 from symfa.oracle import concretize, default_alphabet
 from symfa.sfa import rename_states
-from genlib import rand_sfa, random_word, rand_neat_prop_sfa
+from genlib import (
+    rand_det_interval_sfa,
+    rand_det_prop_sfa,
+    rand_neat_prop_sfa,
+    rand_prop_pred,
+    rand_sfa,
+    random_word,
+)
 
 
 def ia(lo, hi):
@@ -206,3 +217,54 @@ def test_determinism_and_completeness_agree_with_brute_force():
         )
         assert is_deterministic(a) == brute_det
         assert is_complete(a) == brute_complete
+
+
+def _pairwise_reference(a):
+    """The definitions, one sat call per predicate tree: no two edges of a
+    state share a letter; no letter escapes the union of a state's edges."""
+    out = a.out_map().values()
+    det = not any(
+        a.binding.is_sat(mk_and([t1.pred, t2.pred])) for ts in out for t1, t2 in combinations(ts, 2)
+    )
+    complete = not any(a.binding.is_sat(mk_not(mk_or([t.pred for t in ts]))) for ts in out)
+    return det, complete, sum(len(ts) * (len(ts) - 1) // 2 for ts in out)
+
+
+def _split_prop_sfa(rng, binding, complete):
+    """Deterministic by construction with general labels: each state splits
+    the valuations by random p and r into p, not p and r, not p and not r,
+    dropping one part when incomplete automata are allowed."""
+    states = ("q0", "q1", "q2")
+    edges = []
+    for q in states:
+        p, r = (rand_prop_pred(rng, binding.k, rng.randint(2, 6)) for _ in range(2))
+        parts = [p, mk_and([Not(p), r]), mk_and([Not(p), Not(r)])]
+        if not complete:
+            parts.pop(rng.randrange(3))
+        edges.extend(Transition(q, pred, rng.choice(states)) for pred in parts)
+    return Sfa(binding, states, "q0", {"q1"}, tuple(edges))
+
+
+@pytest.mark.parametrize("algebra", ["interval", "k=3", "k=6", "k=8"])
+def test_determinism_and_completeness_agree_with_pairwise_definition(algebra):
+    rng = random.Random(algebra)
+    if algebra == "interval":
+        binding = interval_binding()
+        det = lambda: rand_det_interval_sfa(rng, complete=rng.random() < 0.5, neat=rng.random() < 0.5)
+    else:
+        k = int(algebra[2:])
+        binding = propositional_binding([f"p{i + 1}" for i in range(k)])
+        if k <= 6:
+            det = lambda: rand_det_prop_sfa(rng, k, complete=rng.random() < 0.5)
+        else:
+            det = lambda: _split_prop_sfa(rng, binding, complete=rng.random() < 0.5)
+    verdicts = set()
+    for i in range(80):
+        a = det() if i % 2 else rand_sfa(rng, binding, n_max=4, m_max=3, pred_size=6)
+        want_det, want_complete, pairs = _pairwise_reference(a)
+        c = OpCounters()
+        assert is_deterministic(a, c) == want_det
+        assert c.sat_calls <= pairs
+        assert is_complete(a) == want_complete
+        verdicts.add((want_det, want_complete))
+    assert len(verdicts) >= 3
