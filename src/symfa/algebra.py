@@ -1,16 +1,17 @@
 """Algebra bindings: which concrete algebra an automaton's predicates live in.
 
-A binding fixes the letter domain and dispatches evaluation, satisfiability
-and canonicalization.  Two automata can be combined only when their bindings
-are equal.  Satisfiability checks route through an OpCounters so callers can
+A binding fixes the letter domain and dispatches evaluation and
+satisfiability.  Two automata can be combined only when their bindings are
+equal.  Satisfiability checks route through an OpCounters so callers can
 meter how many times an operation touched the solver.
 
 Each algebra also has a solved form, the denotation of a predicate: the
 canonical interval tuple of intervals.to_dnf, or the 2^k-bit truth table of
 propositional.mask_of.  Both are falsy exactly when empty, and the binding
-combines them with meet/join/complement, so constructions denote every
-transition once and decide emptiness, overlap and coverage on the results
-instead of building and re-walking predicate trees.
+combines them with meet/join/complement and picks a letter from one with
+witness, so constructions denote every transition once and decide
+emptiness, overlap and coverage on the results instead of building and
+re-walking predicate trees.
 """
 
 from dataclasses import dataclass, field
@@ -123,17 +124,11 @@ class AlgebraBinding:
         if counters is not None:
             counters.sat_calls += 1
         if self.kind == INTERVAL:
-            return intervals.interval_sat(p)
+            return self.witness(self.denote(p))
         return propositional.prop_sat(p, self.k)
 
     def is_sat(self, p: Predicate, counters: OpCounters | None = None) -> bool:
         return self.sat(p, counters) is not None
-
-    def to_dnf(self, p: Predicate) -> Predicate:
-        """Disjunction-of-basic form; canonical for the interval kind."""
-        if self.kind == INTERVAL:
-            return intervals.dnf_to_pred(intervals.to_dnf(p))
-        return propositional.prop_to_dnf(p)
 
     def denote(self, p: Predicate):
         """p's solved form: canonical interval tuple or truth-table int."""
@@ -147,6 +142,18 @@ class AlgebraBinding:
         if self.kind == INTERVAL:
             return (FULL_INTERVAL,)
         return propositional.full_mask(self.k)
+
+    def witness(self, x):
+        """A letter of a solved form, or None when it is empty.
+
+        A truth table gives the valuation of its lowest set bit, the first
+        satisfying one in all_valuations order.  An interval list gives its
+        first interval's lo if finite, else that interval's hi - 1 if
+        finite, else 0.
+        """
+        if self.kind == INTERVAL:
+            return intervals._witness(x)
+        return propositional._witness(x, self.k)
 
     def meet(self, x, y):
         if self.kind == INTERVAL:

@@ -10,7 +10,6 @@ equivalent iff their canonical forms are structurally equal.
 """
 
 from .predicates import (
-    FALSE,
     FULL_INTERVAL,
     NEG_INF,
     POS_INF,
@@ -20,35 +19,13 @@ from .predicates import (
     Not,
     Or,
     Predicate,
-    TRUE,
     _FalsePred,
     _TruePred,
-    mk_and,
-    mk_or,
 )
 
 # Canonical DNF: intervals sorted by lo, pairwise disjoint, with real gaps
 # between consecutive members (touching intervals are merged).
 IntervalDnf = tuple
-
-
-def atom_and(x: IntervalAtom, y: IntervalAtom) -> IntervalAtom | None:
-    """[max(lo), min(hi)) if proper, else None."""
-    lo = max(x.lo, y.lo)
-    hi = min(x.hi, y.hi)
-    if lo < hi:
-        return IntervalAtom(lo, hi)
-    return None
-
-
-def atom_not(x: IntervalAtom) -> IntervalDnf:
-    """Complement of an interval: at most two intervals."""
-    pieces = []
-    if NEG_INF < x.lo:
-        pieces.append(IntervalAtom(NEG_INF, x.lo))
-    if x.hi < POS_INF:
-        pieces.append(IntervalAtom(x.hi, POS_INF))
-    return tuple(pieces)
 
 
 def canonical_union(atoms) -> IntervalDnf:
@@ -114,108 +91,45 @@ def any_overlap(dnfs) -> bool:
     return False
 
 
-def to_nnf(p: Predicate) -> Predicate:
-    """Eliminate negations, expanding them at atoms into interval unions.
-
-    Output size is at most twice the input size: each negated atom becomes
-    at most two atoms, everything else is De Morgan bookkeeping.
-    """
-    return _nnf(p, False)
-
-
-def _nnf(p: Predicate, neg: bool) -> Predicate:
-    if isinstance(p, Not):
-        return _nnf(p.child, not neg)
-    if isinstance(p, _TruePred):
-        return FALSE if neg else TRUE
-    if isinstance(p, _FalsePred):
-        return TRUE if neg else FALSE
-    if isinstance(p, Atom):
-        if not neg:
-            return p
-        return mk_or([Atom(a) for a in atom_not(p.payload)])
-    if isinstance(p, And):
-        kids = [_nnf(c, neg) for c in p.children]
-        return mk_or(kids) if neg else mk_and(kids)
-    if isinstance(p, Or):
-        kids = [_nnf(c, neg) for c in p.children]
-        return mk_and(kids) if neg else mk_or(kids)
-    raise TypeError(f"not a predicate: {p!r}")
-
-
 def to_dnf(p: Predicate) -> IntervalDnf:
-    """Canonical DNF of an arbitrary interval predicate.
+    """Canonical DNF of an arbitrary interval predicate, in one walk.
 
-    Disjunction is list union with merging; conjunction is pairwise interval
-    intersection, which adds rather than multiplies atom counts.  The result
-    has at most 2 * predicate_size(p) atoms.
+    Disjunction is list union with merging, conjunction is a merge-pass
+    intersection and negation takes the gaps, so every node's result is
+    canonical as built.  Every finite endpoint of the result is an endpoint
+    of some atom of p, and consecutive intervals are separated by a real
+    gap, so the result has at most (number of atoms + 1) intervals, hence
+    at most 2 * predicate_size(p).
     """
     if type(p) is Atom:
         return (p.payload,)
-    return _dnf(to_nnf(p))
+    return _dnf(p)
 
 
 def _dnf(p: Predicate) -> IntervalDnf:
-    if isinstance(p, _TruePred):
-        return (FULL_INTERVAL,)
-    if isinstance(p, _FalsePred):
-        return ()
-    if isinstance(p, Atom):
+    kind = type(p)
+    if kind is Atom:
         return (p.payload,)
-    if isinstance(p, Or):
-        out = []
-        for c in p.children:
-            out.extend(_dnf(c))
-        return canonical_union(out)
-    if isinstance(p, And):
+    if kind is Not:
+        return complement_intervals(_dnf(p.child))
+    if kind is Or:
+        return canonical_union([a for c in p.children for a in _dnf(c)])
+    if kind is And:
         acc = (FULL_INTERVAL,)
         for c in p.children:
             acc = intersect_dnf(acc, _dnf(c))
             if not acc:
                 return ()
         return acc
-    raise TypeError(f"unexpected node after NNF: {p!r}")
+    if kind is _TruePred:
+        return (FULL_INTERVAL,)
+    if kind is _FalsePred:
+        return ()
+    raise TypeError(f"not a predicate: {p!r}")
 
 
-def canonicalize(p: Predicate) -> IntervalDnf:
-    """Alias of to_dnf: equivalent predicates canonicalize identically."""
-    return to_dnf(p)
-
-
-def basic_to_atom(p: Predicate) -> IntervalAtom | None:
-    """Fold a basic predicate into the single interval it denotes.
-
-    Conjunction of intervals is an interval, so a basic predicate (an atom,
-    a constant, or a conjunction of those) denotes one interval or nothing.
-    Returns None for the empty denotation; raises on general predicates.
-    """
-    if isinstance(p, _TruePred):
-        return FULL_INTERVAL
-    if isinstance(p, _FalsePred):
-        return None
-    if isinstance(p, Atom):
-        return p.payload
-    if isinstance(p, And):
-        acc = FULL_INTERVAL
-        for c in p.children:
-            piece = basic_to_atom(c)
-            if piece is None:
-                return None
-            acc = atom_and(acc, piece)
-            if acc is None:
-                return None
-        return acc
-    raise ValueError(f"not a basic interval predicate: {p!r}")
-
-
-def dnf_to_pred(dnf: IntervalDnf) -> Predicate:
-    """Rebuild a predicate from a canonical list (FALSE when empty)."""
-    return mk_or([Atom(a) for a in dnf])
-
-
-def interval_sat(p: Predicate) -> int | None:
-    """Least finite letter satisfying p, or None if unsatisfiable."""
-    dnf = to_dnf(p)
+def _witness(dnf: IntervalDnf) -> int | None:
+    """AlgebraBinding.witness for a canonical list."""
     if not dnf:
         return None
     first = dnf[0]

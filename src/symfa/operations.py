@@ -31,6 +31,7 @@ from .sfa import (
     Sfa,
     Transition,
     dedupe_transitions,
+    edges_by_pair,
     is_complete,
     is_deterministic,
     is_neat,
@@ -293,21 +294,15 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
             continue
         kept.append(nm)
         rep = min(ms, key=lambda q: index[q])
-        rep_edges = [t for t in out[rep] if name_of[t.dst] != dropped]
+        rep_edges = [
+            Transition(nm, t.pred, name_of[t.dst]) for t in out[rep] if name_of[t.dst] != dropped
+        ]
         if neat_input:
-            edges.extend(Transition(nm, t.pred, name_of[t.dst]) for t in rep_edges)
+            edges.extend(rep_edges)
         else:
-            order = []
-            grouped = {}
-            for t in rep_edges:
-                dst = name_of[t.dst]
-                if dst not in grouped:
-                    order.append(dst)
-                    grouped[dst] = []
-                grouped[dst].append(t.pred)
-            for dst in order:
-                counters.disj_built += len(grouped[dst]) - 1
-                edges.append(Transition(nm, mk_or(grouped[dst]), dst))
+            for (src, dst), preds in edges_by_pair(rep_edges).items():
+                counters.disj_built += len(preds) - 1
+                edges.append(Transition(src, mk_or(preds), dst))
     return Sfa(
         c.binding,
         tuple(kept),

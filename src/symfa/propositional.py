@@ -106,7 +106,11 @@ def prop_sat(p: Predicate, k: int) -> Valuation | None:
     lits = _literals_of_basic(p)
     if lits is not None:
         return monomial_sat(lits, k)
-    mask = mask_of(p, k)
+    return _witness(mask_of(p, k), k)
+
+
+def _witness(mask: int, k: int) -> Valuation | None:
+    """The valuation of the lowest set bit of a truth table, or None."""
     if not mask:
         return None
     i = (mask & -mask).bit_length() - 1
@@ -195,18 +199,6 @@ def monomials_of(p: Predicate):
     if any(m == () for m in mono):
         return [()]
     return mono
-
-
-def prop_to_dnf(p: Predicate) -> Predicate:
-    """Disjunction of satisfiable monomials equivalent to p.
-
-    Duplicate monomials are removed via canonical literal order; no
-    minimality is attempted and disjuncts may overlap.
-    """
-    mono = monomials_of(p)
-    if not mono:
-        return FALSE
-    return mk_or([monomial_to_pred(m) for m in mono])
 
 
 def mask_of(p: Predicate, k: int) -> int:

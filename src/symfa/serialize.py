@@ -31,9 +31,13 @@ from .predicates import (
 )
 from .sfa import Sfa, Transition
 
+# Levels a predicate may nest (a lone atom is one level).  Every predicate
+# walk recurses once per level, so deeper input is refused at the boundary.
+MAX_PRED_DEPTH = 200
+
 
 def parse_sfa(text: str) -> Sfa:
-    """Parse a file's text; a predicate nested past the interpreter's
+    """Parse a file's text; a document nested past the interpreter's
     recursion limit is a FormatError like any other malformed input."""
     try:
         return _parse_document(text)
@@ -104,7 +108,9 @@ def _parse_algebra(obj) -> AlgebraBinding:
     raise FormatError(f"algebra: expected \"interval\" or a propositional object, got {obj!r}")
 
 
-def parse_pred(obj, binding: AlgebraBinding, path: str) -> Predicate:
+def parse_pred(obj, binding: AlgebraBinding, path: str, depth: int = 1) -> Predicate:
+    if depth > MAX_PRED_DEPTH:
+        raise FormatError(f"{path}: predicate nested too deeply (at most {MAX_PRED_DEPTH} levels)")
     if obj == "true":
         return TRUE
     if obj == "false":
@@ -115,11 +121,11 @@ def parse_pred(obj, binding: AlgebraBinding, path: str) -> Predicate:
     if key in ("and", "or"):
         if not isinstance(body, list) or len(body) < 2:
             raise FormatError(f"{path}.{key}: needs a list of at least 2 children")
-        kids = [parse_pred(c, binding, f"{path}.{key}[{i}]") for i, c in enumerate(body)]
+        kids = [parse_pred(c, binding, f"{path}.{key}[{i}]", depth + 1) for i, c in enumerate(body)]
         # rebuild through the plain node so the shape on disk is preserved
         return And(tuple(kids)) if key == "and" else Or(tuple(kids))
     if key == "not":
-        return Not(parse_pred(body, binding, f"{path}.not"))
+        return Not(parse_pred(body, binding, f"{path}.not", depth + 1))
     if key == "atom":
         return Atom(_parse_atom(body, binding, f"{path}.atom"))
     raise FormatError(f"{path}: unknown predicate key {key!r}")

@@ -149,12 +149,7 @@ def is_neat(a: Sfa) -> bool:
 
 
 def is_normalized(a: Sfa) -> bool:
-    pairs = set()
-    for t in a.transitions:
-        if (t.src, t.dst) in pairs:
-            return False
-        pairs.add((t.src, t.dst))
-    return True
+    return len(edges_by_pair(a.transitions)) == len(a.transitions)
 
 
 def is_feasible(a: Sfa, counters: OpCounters | None = None) -> bool:
@@ -214,6 +209,15 @@ def rename_states(a: Sfa, mapping) -> Sfa:
         frozenset(mapping[q] for q in a.accepting),
         tuple(Transition(mapping[t.src], t.pred, mapping[t.dst]) for t in a.transitions),
     )
+
+
+def edges_by_pair(ts) -> dict:
+    """Group transitions by state pair: (src, dst) -> list of predicates,
+    pairs and predicates both in first-occurrence order."""
+    groups = {}
+    for t in ts:
+        groups.setdefault((t.src, t.dst), []).append(t.pred)
+    return groups
 
 
 def dedupe_transitions(ts):

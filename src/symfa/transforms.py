@@ -10,7 +10,6 @@ structural equality.
 
 from .algebra import OpCounters
 from .errors import UnsupportedAlgebra
-from .intervals import canonical_union, to_dnf
 from .predicates import (
     Atom,
     PredicateClass,
@@ -24,6 +23,7 @@ from .sfa import (
     Sfa,
     Transition,
     dedupe_transitions,
+    edges_by_pair,
     is_complete,
     is_neat,
     is_normalized,
@@ -54,8 +54,8 @@ def to_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         if classify(t.pred) is not PredicateClass.GENERAL:
             edges.append(t)
         elif a.binding.is_monotonic:
-            for atom in to_dnf(t.pred):
-                edges.append(Transition(t.src, Atom(atom), t.dst))
+            for p in a.binding.basic_preds(a.binding.denote(t.pred)):
+                edges.append(Transition(t.src, p, t.dst))
         else:
             for m in monomials_of(t.pred):
                 edges.append(Transition(t.src, monomial_to_pred(m), t.dst))
@@ -67,17 +67,8 @@ def to_normalized(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     if is_normalized(a):
         return a
     counters = counters if counters is not None else OpCounters()
-    order = []
-    groups = {}
-    for t in a.transitions:
-        key = (t.src, t.dst)
-        if key not in groups:
-            order.append(key)
-            groups[key] = []
-        groups[key].append(t.pred)
     edges = []
-    for src, dst in order:
-        preds = groups[(src, dst)]
+    for (src, dst), preds in edges_by_pair(a.transitions).items():
         counters.disj_built += len(preds) - 1
         edges.append(Transition(src, mk_or(preds), dst))
     return Sfa(a.binding, a.states, a.initial, a.accepting, edges)
@@ -148,12 +139,10 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     from .operations import determinize, minimize
 
     mini = minimize(complete(determinize(a, counters), counters), counters)
-    atoms_between = {}
-    for t in mini.transitions:
-        atoms_between.setdefault((t.src, t.dst), []).extend(to_dnf(t.pred))
+    binding = mini.binding
     outgoing = {q: [] for q in mini.states}
-    for (src, dst), atoms in atoms_between.items():
-        for atom in canonical_union(atoms):
+    for (src, dst), preds in edges_by_pair(mini.transitions).items():
+        for atom in binding.join([binding.denote(p) for p in preds]):
             outgoing[src].append((atom, dst))
     for q in outgoing:
         outgoing[q].sort(key=lambda e: (e[0].lo, e[0].hi))
@@ -189,14 +178,7 @@ def canonical_minimal_normalized(a: Sfa, counters: OpCounters | None = None) -> 
     """
     neat = canonical_minimal_neat(a, counters)
     idx = {q: i for i, q in enumerate(neat.states)}
-    order = []
-    groups = {}
-    for t in neat.transitions:
-        key = (t.src, t.dst)
-        if key not in groups:
-            order.append(key)
-            groups[key] = []
-        groups[key].append(t.pred)
-    order.sort(key=lambda key: (idx[key[0]], groups[key][0].payload.lo))
+    groups = edges_by_pair(neat.transitions)
+    order = sorted(groups, key=lambda key: (idx[key[0]], groups[key][0].payload.lo))
     edges = [Transition(src, mk_or(groups[(src, dst)]), dst) for src, dst in order]
     return Sfa(neat.binding, neat.states, neat.initial, neat.accepting, edges)

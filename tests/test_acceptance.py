@@ -29,13 +29,14 @@ from symfa import (
     is_normalized,
     membership,
     minimize,
+    mk_or,
     parse_sfa,
     predicate_size,
     product,
     propositional_binding,
     size_triple,
 )
-from symfa.intervals import dnf_to_pred, to_dnf
+from symfa.intervals import to_dnf
 from symfa.predicates import IntervalAtom, iter_atoms
 from symfa.sfa import SizeTriple
 from symfa.transforms import (
@@ -128,7 +129,7 @@ def test_criterion_02_linear_dnf_bound(term):
             p = rand_interval_pred(rng, rng.randint(1, 60))
             atoms = to_dnf(p)
             assert len(atoms) <= 2 * predicate_size(p)
-            q = dnf_to_pred(atoms)
+            q = mk_or(binding.basic_preds(atoms))
             for x in _pred_window(p):
                 assert binding.evaluate(p, x) == binding.evaluate(q, x)
 

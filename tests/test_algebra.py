@@ -15,7 +15,8 @@ from symfa import (
     mk_and,
     propositional_binding,
 )
-from genlib import rand_interval_pred, rand_prop_pred
+from symfa.propositional import all_valuations
+from genlib import rand_interval_atom, rand_interval_pred, rand_monomial, rand_prop_pred
 
 
 def ia(lo, hi):
@@ -102,6 +103,43 @@ def test_sat_witness_always_satisfies():
         v = pb.sat(q)
         if v is not None:
             assert pb.evaluate(q, v)
+
+
+def _check_witness(b, p):
+    x = b.denote(p)
+    w = b.witness(x)
+    assert (w is None) == (not x)
+    if w is not None:
+        assert b.evaluate(p, w)
+    assert b.sat(p) == w
+
+
+def test_witness_is_none_exactly_when_empty_and_matches_sat():
+    rng = random.Random(17)
+    b = interval_binding()
+    pb = propositional_binding(["p1", "p2", "p3", "p4"])
+    for _ in range(300):
+        _check_witness(b, rand_interval_pred(rng, rng.randint(1, 10)))
+        _check_witness(b, mk_and([Atom(rand_interval_atom(rng)) for _ in range(rng.randint(1, 3))]))
+        _check_witness(pb, rand_prop_pred(rng, 4, rng.randint(1, 10)))
+        # basic predicates take prop_sat's monomial path, not the truth table
+        _check_witness(pb, rand_monomial(rng, 4))
+        _check_witness(pb, mk_and([rand_monomial(rng, 4), rand_monomial(rng, 4)]))
+
+
+def test_prop_witness_is_first_satisfying_valuation():
+    rng = random.Random(19)
+    for k in range(3, 9):
+        pb = propositional_binding([f"p{i}" for i in range(k)])
+        for _ in range(40):
+            p = rand_prop_pred(rng, k, rng.randint(1, 12))
+            expect = next((v for v in all_valuations(k) if pb.evaluate(p, v)), None)
+            assert pb.witness(pb.denote(p)) == expect
+    pb = propositional_binding(["p1", "p2", "p3"])
+    vals = list(all_valuations(3))
+    for mask in range(1 << 8):
+        expect = next((v for i, v in enumerate(vals) if mask >> i & 1), None)
+        assert pb.witness(mask) == expect
 
 
 def test_eval_respects_connective_semantics():

@@ -16,6 +16,7 @@ from symfa import (
 )
 from symfa import operations
 from symfa.cli import main
+from symfa.serialize import MAX_PRED_DEPTH
 from conftest import DATA
 
 TWO_STATE = str(DATA / "two_state.sfa")
@@ -207,6 +208,53 @@ def test_deeply_nested_predicate_exits_2_not_1(capsys, tmp_path):
     code, _, err = run(capsys, "equiv", str(deep), TWO_STATE)
     assert code == 2
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+def nested_pred(depth, shape):
+    """A predicate `depth` levels deep: a chain of `not`s, or of binary
+    `and`/`or` nodes alternating, around one interval atom."""
+    pred = {"atom": {"lo": 0, "hi": 10}}
+    for i in range(depth - 1):
+        if shape == "not":
+            pred = {"not": pred}
+        else:
+            pred = {"and" if i % 2 else "or": [pred, {"atom": {"lo": i, "hi": i + 5}}]}
+    return pred
+
+
+def nested_path(tmp_path, depth, shape):
+    p = tmp_path / f"{shape}{depth}.sfa"
+    p.write_text(json.dumps({
+        "algebra": "interval", "states": ["q", "r"], "initial": "q", "accepting": ["r"],
+        "transitions": [{"from": "q", "pred": nested_pred(depth, shape), "to": "r"}],
+    }))
+    return str(p)
+
+
+def test_predicate_past_depth_cap_is_a_format_error(capsys, tmp_path):
+    for shape in ("not", "and-or"):
+        path = nested_path(tmp_path, MAX_PRED_DEPTH + 1, shape)
+        for cmd in ("validate", "empty", "dot"):
+            code, _, err = run(capsys, cmd, path)
+            assert code == 2
+            assert err.startswith("error:") and "nested too deeply" in err
+            assert "unexpected" not in err
+
+
+def test_predicate_at_depth_cap_runs(capsys, tmp_path):
+    out = str(tmp_path / "out.sfa")
+    for shape in ("not", "and-or"):
+        path = nested_path(tmp_path, MAX_PRED_DEPTH, shape)
+        for argv in (
+            ("validate", path),
+            ("empty", path),
+            ("member", path, "--word", "3"),
+            ("dot", path),
+            ("determinize", path, "--out", out),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1), (argv[0], shape, err)
+            assert "error" not in err
 
 
 def test_unexpected_exception_exits_2_not_1(capsys, monkeypatch):

@@ -8,7 +8,6 @@ from symfa import (
     IntervalAtom,
     NEG_INF,
     Not,
-    Or,
     POS_INF,
     TRUE,
     interval_binding,
@@ -17,15 +16,10 @@ from symfa import (
     predicate_size,
 )
 from symfa.intervals import (
-    atom_and,
-    atom_not,
-    basic_to_atom,
     canonical_union,
-    canonicalize,
     complement_intervals,
-    interval_sat,
+    intersect_dnf,
     to_dnf,
-    to_nnf,
 )
 from genlib import rand_interval_pred
 
@@ -45,16 +39,24 @@ def dnf_pred(dnf):
     return mk_or([Atom(a) for a in dnf])
 
 
+# The tests below keep the names of the single-atom helpers whose behaviour
+# they pin; that behaviour now lives in intersect_dnf, complement_intervals,
+# to_dnf and the binding's sat/witness.
+
+
 def test_atom_and_overlap():
-    assert atom_and(IntervalAtom(0, 100), IntervalAtom(50, 150)) == IntervalAtom(50, 100)
+    assert intersect_dnf((IntervalAtom(0, 100),), (IntervalAtom(50, 150),)) == (
+        IntervalAtom(50, 100),
+    )
 
 
 def test_atom_and_disjoint_is_empty():
-    assert atom_and(IntervalAtom(0, 10), IntervalAtom(20, 30)) is None
+    assert intersect_dnf((IntervalAtom(0, 10),), (IntervalAtom(20, 30),)) == ()
 
 
 def test_atom_and_idempotent():
-    assert atom_and(IntervalAtom(0, 100), IntervalAtom(0, 100)) == IntervalAtom(0, 100)
+    x = (IntervalAtom(0, 100),)
+    assert intersect_dnf(x, x) == x
 
 
 def test_atom_and_agrees_with_eval():
@@ -62,22 +64,23 @@ def test_atom_and_agrees_with_eval():
     for _ in range(200):
         x = IntervalAtom(*sorted(rng.sample(range(-10, 18), 2)))
         y = IntervalAtom(*sorted(rng.sample(range(-10, 18), 2)))
-        z = atom_and(x, y)
+        z = intersect_dnf((x,), (y,))
+        assert len(z) <= 1
         for d in LETTERS:
             expect = x.contains(d) and y.contains(d)
-            assert (z is not None and z.contains(d)) == expect
+            assert any(a.contains(d) for a in z) == expect
 
 
 def test_atom_not_unbounded_right():
-    assert atom_not(IntervalAtom(100, POS_INF)) == (IntervalAtom(NEG_INF, 100),)
+    assert complement_intervals((IntervalAtom(100, POS_INF),)) == (IntervalAtom(NEG_INF, 100),)
 
 
 def test_atom_not_full_is_empty():
-    assert atom_not(IntervalAtom(NEG_INF, POS_INF)) == ()
+    assert complement_intervals((IntervalAtom(NEG_INF, POS_INF),)) == ()
 
 
 def test_atom_not_bounded_gives_both_pieces():
-    assert atom_not(IntervalAtom(0, 200)) == (
+    assert complement_intervals((IntervalAtom(0, 200),)) == (
         IntervalAtom(NEG_INF, 0),
         IntervalAtom(200, POS_INF),
     )
@@ -87,34 +90,26 @@ def test_atom_not_partitions_the_domain():
     rng = random.Random(5)
     for _ in range(100):
         x = IntervalAtom(*sorted(rng.sample(range(-10, 18), 2)))
-        pieces = atom_not(x)
+        pieces = complement_intervals((x,))
         for d in LETTERS:
             assert x.contains(d) != any(p.contains(d) for p in pieces)
 
 
 def test_to_nnf_expands_negated_atom():
-    assert to_nnf(Not(ia(0, 200))) == Or((ia(NEG_INF, 0), ia(200, POS_INF)))
+    assert to_dnf(Not(ia(0, 200))) == (IntervalAtom(NEG_INF, 0), IntervalAtom(200, POS_INF))
 
 
 def test_to_nnf_leaves_plain_atom_alone():
-    assert to_nnf(ia(0, 10)) == ia(0, 10)
+    assert to_dnf(ia(0, 10)) == (IntervalAtom(0, 10),)
 
 
 def test_to_nnf_de_morgan_and_size_bound():
     rng = random.Random(9)
     for _ in range(300):
         p = rand_interval_pred(rng, rng.randint(1, 12))
-        n = to_nnf(p)
-        assert same_denotation(p, n)
-        assert predicate_size(n) <= 2 * predicate_size(p)
-        assert not _has_not(n)
-
-
-def _has_not(p):
-    if isinstance(p, Not):
-        return True
-    children = getattr(p, "children", ())
-    return any(_has_not(c) for c in children)
+        dnf = to_dnf(p)
+        assert same_denotation(p, dnf_pred(dnf))
+        assert len(dnf) <= 2 * predicate_size(p)
 
 
 def test_to_dnf_conjunction_over_disjunction():
@@ -139,29 +134,37 @@ def test_to_dnf_negation_with_extra_disjunct():
 
 
 def test_canonicalize_merges_adjacent():
-    assert canonicalize(mk_or([ia(0, 50), ia(50, 100)])) == (IntervalAtom(0, 100),)
+    assert to_dnf(mk_or([ia(0, 50), ia(50, 100)])) == (IntervalAtom(0, 100),)
 
 
 def test_canonicalize_keeps_separated_intervals():
     p = mk_or([ia(20, 40), ia(50, 100)])
-    assert canonicalize(p) == (IntervalAtom(20, 40), IntervalAtom(50, 100))
+    assert to_dnf(p) == (IntervalAtom(20, 40), IntervalAtom(50, 100))
 
 
 def test_canonicalize_true_is_full_interval():
-    assert canonicalize(TRUE) == (IntervalAtom(NEG_INF, POS_INF),)
+    assert to_dnf(TRUE) == (IntervalAtom(NEG_INF, POS_INF),)
 
 
 def test_interval_sat_prefers_low_endpoint():
-    assert interval_sat(ia(100, POS_INF)) == 100
+    assert BINDING.sat(ia(100, POS_INF)) == 100
+    assert BINDING.witness((IntervalAtom(100, 200), IntervalAtom(300, 400))) == 100
 
 
 def test_interval_sat_unbounded_left_uses_hi_minus_one():
-    assert interval_sat(ia(NEG_INF, 0)) == -1
+    assert BINDING.sat(ia(NEG_INF, 0)) == -1
+    assert BINDING.witness((IntervalAtom(NEG_INF, 0), IntervalAtom(5, 9))) == -1
+
+
+def test_sat_full_line_is_zero():
+    assert BINDING.sat(TRUE) == 0
+    assert BINDING.witness((IntervalAtom(NEG_INF, POS_INF),)) == 0
 
 
 def test_interval_sat_false_is_none():
-    assert interval_sat(FALSE) is None
-    assert interval_sat(mk_and([ia(0, 10), ia(20, 30)])) is None
+    assert BINDING.sat(FALSE) is None
+    assert BINDING.sat(mk_and([ia(0, 10), ia(20, 30)])) is None
+    assert BINDING.witness(()) is None
 
 
 def test_canonical_union_and_complement_roundtrip():
@@ -179,9 +182,9 @@ def test_canonical_union_and_complement_roundtrip():
 
 
 def test_basic_to_atom_folds_conjunctions():
-    assert basic_to_atom(mk_and([ia(0, 100), ia(50, 150)])) == IntervalAtom(50, 100)
-    assert basic_to_atom(TRUE) == IntervalAtom(NEG_INF, POS_INF)
-    assert basic_to_atom(mk_and([ia(0, 10), ia(20, 30)])) is None
+    assert to_dnf(mk_and([ia(0, 100), ia(50, 150)])) == (IntervalAtom(50, 100),)
+    assert to_dnf(TRUE) == (IntervalAtom(NEG_INF, POS_INF),)
+    assert to_dnf(mk_and([ia(0, 10), ia(20, 30)])) == ()
 
 
 bounds = st.integers(min_value=-12, max_value=20)
@@ -215,10 +218,10 @@ def test_dnf_is_canonical_and_equivalent(p):
     assert same_denotation(p, dnf_pred(dnf))
     for a, b in zip(dnf, dnf[1:]):
         assert a.hi < b.lo
-    assert canonicalize(dnf_pred(dnf)) == dnf
+    assert to_dnf(dnf_pred(dnf)) == dnf
 
 
 @given(interval_predicates(), interval_predicates())
 def test_equivalent_predicates_canonicalize_identically(p, q):
     if same_denotation(p, q, range(-16, 24)):
-        assert canonicalize(p) == canonicalize(q)
+        assert to_dnf(p) == to_dnf(q)
