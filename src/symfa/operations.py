@@ -4,16 +4,19 @@ and the decision procedures emptiness, inclusion, equivalence.
 Size discipline: product keeps one edge per synchronized transition pair,
 complement adds at most one state and (general path) one edge per state,
 determinization is a reachable-subset construction whose transitions are
-satisfiable minterms, minimization is Moore partition refinement.  Neat
-inputs produce neat outputs throughout: interval negation expands into
-atoms, propositional residuals into disjoint monomials.
+satisfiable minterms, minimization is Moore partition refinement on
+per-state signatures.  Neat inputs produce neat outputs throughout:
+interval negation expands into atoms, propositional residuals into
+disjoint monomials.
 
 Every construction denotes each transition predicate once, in its
 algebra's solved form (see algebra.py), and runs its emptiness tests on
 those denotations.  A denotation costs O(l) interval operations yielding
 at most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
 each test after that is a merge of two interval lists or one AND of two
-truth tables.  The predicates on the output are built exactly as before.
+truth tables.  A macro-state's minterms come from the binding (an
+endpoint sweep over intervals), and a minimize round costs one join per
+state and target block, not one meet per pair of edges of two states.
 """
 
 from enum import Enum
@@ -153,18 +156,15 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     From a macro-state, every sign assignment over its outgoing component
     transitions (take ψ or ¬ψ) yields a minterm; satisfiable minterms with
     at least one positive member become transitions to the set of states
-    those members reach.  Partial conjunctions are pruned as soon as they
-    become unsatisfiable, and the all-negative residual is omitted, so the
-    output may be incomplete.  Minterms are emitted as canonical atoms
+    those members reach, in include-first order.  AlgebraBinding.minterms
+    does the split; the all-negative residual is omitted, so the output may
+    be incomplete.  Minterms are emitted as canonical atoms
     (interval) or disjoint monomials (propositional), hence always neat and
     pairwise disjoint: the output is deterministic.
     """
     counters = counters if counters is not None else OpCounters()
     a = to_feasible(a, counters)
-    out = {
-        q: [(t, d, a.binding.complement(d)) for t, d in ts]
-        for q, ts in _denoted(a).items()
-    }
+    out = {q: [(t.dst, d) for t, d in ts] for q, ts in _denoted(a).items()}
     start = frozenset({a.initial})
     order = [start]
     seen = {start}
@@ -174,8 +174,12 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         macro = order[i]
         i += 1
         moves = [move for q in sorted(macro) for move in out[q]]
-        for pred, target in _minterms(a.binding, moves, counters):
-            edges.append(Transition(subset_name(macro), pred, subset_name(target)))
+        for mask, x in a.binding.minterms([d for _, d in moves], counters):
+            if not mask:
+                continue
+            target = frozenset(dst for j, (dst, _) in enumerate(reversed(moves)) if mask >> j & 1)
+            for pred in a.binding.basic_preds(x):
+                edges.append(Transition(subset_name(macro), pred, subset_name(target)))
             if target not in seen:
                 seen.add(target)
                 order.append(target)
@@ -188,43 +192,18 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     )
 
 
-def _minterms(binding, moves, counters):
-    """Satisfiable minterms of a transition list, as (pred, target) pairs.
-
-    moves holds (transition, denotation, complement) triples.  Depth-first
-    over include/exclude choices per transition, carrying the partial
-    conjunction in solved form and pruning empty ones; each emptiness test
-    counts as a sat call.
-    """
-    results = []
-
-    def rec(j, cur, included):
-        counters.sat_calls += 1
-        if not cur:
-            return
-        if j == len(moves):
-            if included:
-                target = frozenset(t.dst for t in included)
-                for pred in binding.basic_preds(cur):
-                    results.append((pred, target))
-            return
-        counters.conj_built += 2
-        t, den, neg = moves[j]
-        rec(j + 1, binding.meet(cur, den), included + [t])
-        rec(j + 1, binding.meet(cur, neg), included)
-
-    rec(0, binding.full, [])
-    return results
-
-
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
-    """Quotient by Moore partition refinement.
+    """Quotient by Moore partition refinement on block signatures.
 
-    Unreachable states are dropped, the automaton is completed internally
-    when needed, blocks start as accepting/rejecting and split while two
-    members disagree, on some satisfiable overlap of their outgoing
-    predicates, about the target block.  The quotient keeps one
-    representative's edges per block: verbatim for neat input (neat stays
+    Unreachable states are dropped and the automaton is completed
+    internally when needed.  Blocks start as rejecting (0) and accepting
+    (1).  Each round a state's signature is its block plus, per target
+    block, the join of its non-empty outgoing denotations into that block
+    (its letter-to-block map, as the automaton is complete and
+    deterministic); equal signatures share the next round's block, so no
+    two states are compared.  Refinement stops when the block count stops
+    growing.  The quotient keeps one representative's
+    (lowest index) edges per block: verbatim for neat input (neat stays
     neat), merged per target block otherwise.  A block created only by the
     internal completion is removed again, so the result never exceeds the
     input's state count.
@@ -244,34 +223,25 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     c = complete(a, counters)
     sink = c.states[-1] if len(c.states) > len(a.states) else None
     out = c.out_map()
-    moves = {q: [(t.dst, c.binding.denote(t.pred)) for t in ts] for q, ts in out.items()}
+    join, denote = c.binding.join, c.binding.denote
+    counters.sat_calls += len(c.transitions)
+    moves = {q: [(t.dst, d) for t in ts if (d := denote(t.pred))] for q, ts in out.items()}
     index = {q: i for i, q in enumerate(c.states)}
-    block = {q: (q in c.accepting) for q in c.states}
+    block = {q: int(q in c.accepting) for q in c.states}
+    count = len(set(block.values()))
 
-    def one_step_equal(p, q):
-        for dst1, d1 in moves[p]:
-            for dst2, d2 in moves[q]:
-                if block[dst1] == block[dst2]:
-                    continue
-                counters.conj_built += 1
-                counters.sat_calls += 1
-                if c.binding.meet(d1, d2):
-                    return False
-        return True
+    def signature(q):
+        by_block = {}
+        for dst, d in moves[q]:
+            by_block.setdefault(block[dst], []).append(d)
+        return block[q], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
 
     while True:
-        groups = {}
-        reps = {}
-        for q in c.states:
-            bucket = reps.setdefault(block[q], [])
-            match = next((r for r in bucket if one_step_equal(r, q)), None)
-            if match is None:
-                bucket.append(q)
-                match = q
-            groups[q] = (block[q], match)
-        if len(set(groups.values())) == len(set(block.values())):
+        ids = {}
+        refined = {q: ids.setdefault(signature(q), len(ids)) for q in c.states}
+        if len(ids) == count:
             break
-        block = groups
+        block, count = refined, len(ids)
 
     members = {}
     for q in c.states:

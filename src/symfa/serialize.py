@@ -110,7 +110,8 @@ def _parse_algebra(obj) -> AlgebraBinding:
 
 def parse_pred(obj, binding: AlgebraBinding, path: str, depth: int = 1) -> Predicate:
     if depth > MAX_PRED_DEPTH:
-        raise FormatError(f"{path}: predicate nested too deeply (at most {MAX_PRED_DEPTH} levels)")
+        where = _short_path(path)
+        raise FormatError(f"{where}: predicate nested too deeply (at most {MAX_PRED_DEPTH} levels)")
     if obj == "true":
         return TRUE
     if obj == "false":
@@ -129,6 +130,14 @@ def parse_pred(obj, binding: AlgebraBinding, path: str, depth: int = 1) -> Predi
     if key == "atom":
         return Atom(_parse_atom(body, binding, f"{path}.atom"))
     raise FormatError(f"{path}: unknown predicate key {key!r}")
+
+
+def _short_path(path: str) -> str:
+    """The path's first and last three steps, with the count of those between."""
+    steps = path.split(".")
+    if len(steps) <= 7:
+        return path
+    return f"{'.'.join(steps[:3])} ... ({len(steps) - 6} more) ... .{'.'.join(steps[-3:])}"
 
 
 def _parse_atom(body, binding: AlgebraBinding, path: str):

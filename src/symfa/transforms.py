@@ -25,6 +25,7 @@ from .sfa import (
     dedupe_transitions,
     edges_by_pair,
     is_complete,
+    is_deterministic,
     is_neat,
     is_normalized,
 )
@@ -126,11 +127,13 @@ def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """The unique minimal-state deterministic complete neat form.
 
-    Determinize, complete, minimize, then re-express every block-to-block
-    letter set as its canonical intervals (one transition per atom) and
-    rename states q0, q1, ... in breadth-first order, exploring transitions
-    by ascending interval.  Language-equal inputs yield structurally equal
-    outputs.  Interval binding only: no unique minimal neat form exists for
+    Determinize unless already deterministic, complete, minimize, then
+    re-express every block-to-block letter set as its canonical intervals
+    (one transition per atom) and rename states q0, q1, ... in breadth-first
+    order, exploring transitions by ascending interval.  No step after
+    determinizing sees what it would change (state names, unreachable
+    states, unsatisfiable edges), so language-equal inputs yield
+    structurally equal outputs.  Interval binding only: no unique minimal neat form exists for
     the propositional algebra.
     """
     if not a.binding.is_monotonic:
@@ -138,7 +141,8 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     # imported here: operations imports complete from this module
     from .operations import determinize, minimize
 
-    mini = minimize(complete(determinize(a, counters), counters), counters)
+    d = a if is_deterministic(a, counters) else determinize(a, counters)
+    mini = minimize(complete(d, counters), counters)
     binding = mini.binding
     outgoing = {q: [] for q in mini.states}
     for (src, dst), preds in edges_by_pair(mini.transitions).items():

@@ -241,6 +241,16 @@ def test_predicate_past_depth_cap_is_a_format_error(capsys, tmp_path):
             assert "unexpected" not in err
 
 
+def test_depth_cap_error_is_one_short_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for shape in ("not", "and-or"):
+        path = nested_path(tmp_path, MAX_PRED_DEPTH + 1, shape)
+        code, _, err = run(capsys, "validate", path.rsplit("/", 1)[1])
+        assert code == 2
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err
+        assert "transitions[0].pred" in err and f"at most {MAX_PRED_DEPTH} levels" in err
+
+
 def test_predicate_at_depth_cap_runs(capsys, tmp_path):
     out = str(tmp_path / "out.sfa")
     for shape in ("not", "and-or"):

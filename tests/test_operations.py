@@ -3,6 +3,7 @@ import random
 import pytest
 
 from symfa import (
+    TRUE,
     Atom,
     BindingMismatch,
     IntervalAtom,
@@ -45,6 +46,7 @@ from symfa.oracle import (
 )
 from symfa.sfa import rename_states
 from genlib import (
+    add_unsat_edge,
     combination_agrees,
     rand_det_interval_sfa,
     rand_det_prop_sfa,
@@ -53,6 +55,7 @@ from genlib import (
     rand_sfa,
     rewrite,
 )
+from symfa.transforms import fresh_state_name
 
 
 def ia(lo, hi):
@@ -282,6 +285,38 @@ def test_minimize_drops_unreachable_states(two_state):
     assert len(minimize(a).states) == 2
 
 
+def chain(n, accepting):
+    """q0 -> q1 -> ... -> q(n-1) on TRUE, the last state looping."""
+    states = tuple(f"q{i}" for i in range(n))
+    edges = [Transition(states[i], TRUE, states[min(i + 1, n - 1)]) for i in range(n)]
+    return Sfa(interval_binding(), states, "q0", accepting(states), edges)
+
+
+def test_minimize_deep_refinement_chain():
+    assert len(minimize(chain(300, lambda qs: {qs[-1]})).states) == 300
+    assert len(minimize(chain(300, lambda qs: qs)).states) == 1
+
+
+def test_minimize_merges_states_that_differ_by_an_unsat_edge():
+    unsat = mk_and([ia(0, 1), ia(2, 3)])
+    a = Sfa(
+        interval_binding(),
+        ("q0", "q1", "q2"),
+        "q0",
+        {"q1", "q2"},
+        (
+            Transition("q0", ia(NEG_INF, 5), "q1"),
+            Transition("q0", ia(5, POS_INF), "q2"),
+            Transition("q1", TRUE, "q1"),
+            Transition("q2", TRUE, "q2"),
+            Transition("q2", unsat, "q0"),
+        ),
+    )
+    mini = minimize(a)
+    assert mini.states == ("{q0}", "{q1,q2}")
+    assert oracle_equal(mini, a)
+
+
 def test_minimize_requires_deterministic():
     with pytest.raises(NondeterministicInput):
         minimize(overlap_nfa())
@@ -398,3 +433,71 @@ def test_equivalent_oracle_agreement():
         assert equivalent(a, b) == want
         hits += want
     assert hits > 0
+
+
+def with_unreachable_state(rng, a):
+    """a plus one state no edge leads to, with two edges of its own."""
+    ghost = fresh_state_name(set(a.states), "ghost")
+    edges = a.transitions + (
+        Transition(ghost, ia(0, 5), rng.choice(a.states)),
+        Transition(ghost, ia(5, 9), ghost),
+    )
+    accepting = a.accepting | ({ghost} if rng.random() < 0.5 else set())
+    return Sfa(a.binding, a.states + (ghost,), a.initial, accepting, edges)
+
+
+def test_canonical_form_of_deterministic_input_equals_that_of_its_determinization():
+    rng = random.Random(127)
+    for _ in range(200):
+        complete, neat = rng.random() < 0.5, rng.random() < 0.5
+        a = rand_det_interval_sfa(rng, n_max=5, complete=complete, neat=neat)
+        if rng.random() < 0.5:
+            a = with_unreachable_state(rng, a)
+        for _ in range(rng.randint(0, 2)):
+            a = add_unsat_edge(rng, a)
+        assert is_deterministic(a)
+        assert canonical_minimal_neat(a) == canonical_minimal_neat(determinize(a))
+
+
+def test_decisions_at_larger_k_match_the_oracle():
+    rng = random.Random(131)
+    verdicts = set()
+    for k in (6, 7, 8):
+        binding = propositional_binding([f"p{i + 1}" for i in range(k)])
+        for _ in range(25):
+            a = rand_sfa(rng, binding, n_max=3, m_max=2, pred_size=3)
+            b = rewrite(rng, a, rounds=2) if rng.random() < 0.4 else rand_sfa(
+                rng, binding, n_max=3, m_max=2, pred_size=3
+            )
+            want_sub = oracle_subset(a, b)
+            want_eq = oracle_equal(a, b)
+            assert includes(a, b) == want_sub
+            assert equivalent(a, b) == want_eq
+            verdicts.add((want_sub, want_eq))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_interval_canonical_equality_iff_equivalent_iff_oracle():
+    rng = random.Random(137)
+    hits = 0
+    for _ in range(300):
+        a = rand_sfa(rng, interval_binding(), n_max=3, m_max=3, pred_size=3)
+        b = rewrite(rng, a, rounds=2) if rng.random() < 0.5 else rand_sfa(
+            rng, interval_binding(), n_max=3, m_max=3, pred_size=3
+        )
+        want = oracle_equal(a, b, representatives(a, b))
+        assert equivalent(a, b) == want
+        assert (canonical_minimal_neat(a) == canonical_minimal_neat(b)) == want
+        hits += want
+    assert 0 < hits < 300
+
+
+def test_complement_is_an_involution():
+    rng = random.Random(139)
+    bindings = [interval_binding(), propositional_binding(["p1", "p2", "p3", "p4"])]
+    for i in range(200):
+        binding = bindings[i % 2]
+        d = determinize(rand_sfa(rng, binding, n_max=3, m_max=3, pred_size=3))
+        cc = complement(complement(d))
+        assert oracle_equal(cc, d, representatives(cc, d))
+        assert equivalent(cc, d)
