@@ -9,9 +9,9 @@ Each algebra also has a solved form, the denotation of a predicate: the
 canonical interval tuple of intervals.to_dnf, or the 2^k-bit truth table of
 propositional.mask_of.  Both are falsy exactly when empty, and the binding
 combines them with meet/join/complement, splits a list of them into
-minterms and picks a letter from one with witness, so constructions denote every transition once and decide
-emptiness, overlap and coverage on the results instead of building and
-re-walking predicate trees.
+minterms and picks a letter from one with witness, so constructions
+denote every transition once and decide emptiness, overlap and coverage
+on the results instead of building and re-walking predicate trees.
 """
 
 from dataclasses import dataclass, field

@@ -158,9 +158,9 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     at least one positive member become transitions to the set of states
     those members reach, in include-first order.  AlgebraBinding.minterms
     does the split; the all-negative residual is omitted, so the output may
-    be incomplete.  Minterms are emitted as canonical atoms
-    (interval) or disjoint monomials (propositional), hence always neat and
-    pairwise disjoint: the output is deterministic.
+    be incomplete.  Minterms are emitted as canonical atoms (interval) or
+    disjoint monomials (propositional), hence always neat and pairwise
+    disjoint: the output is deterministic.
     """
     counters = counters if counters is not None else OpCounters()
     a = to_feasible(a, counters)
@@ -202,11 +202,10 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     (its letter-to-block map, as the automaton is complete and
     deterministic); equal signatures share the next round's block, so no
     two states are compared.  Refinement stops when the block count stops
-    growing.  The quotient keeps one representative's
-    (lowest index) edges per block: verbatim for neat input (neat stays
-    neat), merged per target block otherwise.  A block created only by the
-    internal completion is removed again, so the result never exceeds the
-    input's state count.
+    growing.  The quotient keeps one representative's (lowest index) edges
+    per block: verbatim for neat input (neat stays neat), merged per target
+    block otherwise.  A block created only by the internal completion is
+    removed again, so the result never exceeds the input's state count.
     """
     counters = counters if counters is not None else OpCounters()
     if not is_deterministic(a, counters):

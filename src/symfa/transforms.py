@@ -133,8 +133,8 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     order, exploring transitions by ascending interval.  No step after
     determinizing sees what it would change (state names, unreachable
     states, unsatisfiable edges), so language-equal inputs yield
-    structurally equal outputs.  Interval binding only: no unique minimal neat form exists for
-    the propositional algebra.
+    structurally equal outputs.  Interval binding only: no unique minimal
+    neat form exists for the propositional algebra.
     """
     if not a.binding.is_monotonic:
         raise UnsupportedAlgebra("canonical minimal forms need the interval algebra")
