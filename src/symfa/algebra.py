@@ -8,10 +8,10 @@ meter how many times an operation touched the solver.
 Each algebra also has a solved form, the denotation of a predicate: the
 canonical interval tuple of intervals.to_dnf, or the 2^k-bit truth table of
 propositional.mask_of.  Both are falsy exactly when empty, and the binding
-combines them with meet/join/complement, splits a list of them into
-minterms and picks a letter from one with witness, so constructions
-denote every transition once and decide emptiness, overlap and coverage
-on the results instead of building and re-walking predicate trees.
+combines them with meet/join/complement and picks a letter from one with
+witness, so constructions denote every transition once and decide
+emptiness, overlap and coverage on the results instead of building and
+re-walking predicate trees.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from . import intervals, propositional
 from .errors import BindingMismatch, UnsupportedAlgebra
 from .predicates import (
+    FULL_INTERVAL,
     And,
     Atom,
     IntervalAtom,
@@ -135,6 +136,13 @@ class AlgebraBinding:
             return intervals.to_dnf(p)
         return propositional.mask_of(p, self.k)
 
+    @property
+    def full(self):
+        """Solved form of TRUE."""
+        if self.kind == INTERVAL:
+            return (FULL_INTERVAL,)
+        return propositional.full_mask(self.k)
+
     def witness(self, x):
         """A letter of a solved form, or None when it is empty.
 
@@ -160,22 +168,11 @@ class AlgebraBinding:
     def join(self, xs):
         """Union of a list of solved forms."""
         if self.kind == INTERVAL:
-            # a canonical list is its own union
-            return xs[0] if len(xs) == 1 else intervals.canonical_union([a for x in xs for a in x])
+            return intervals.canonical_union([atom for x in xs for atom in x])
         acc = 0
         for x in xs:
             acc |= x
         return acc
-
-    def minterms(self, xs, counters: OpCounters):
-        """The non-empty minterms of a list of solved forms: (mask, solved
-        form) pairs in descending mask order, bit len(xs) - 1 - j of mask set
-        iff xs[j] is taken rather than negated.  Intervals sweep the sorted
-        endpoints once; truth tables split member by member, pruning empty
-        partial meets with one sat call each."""
-        if self.kind == INTERVAL:
-            return intervals._minterms(xs)
-        return propositional._minterms(xs, self.k, counters)
 
     def overlapping(self, xs) -> bool:
         """Do two members of the list share a letter?

@@ -91,26 +91,6 @@ def any_overlap(dnfs) -> bool:
     return False
 
 
-def _minterms(dnfs) -> list:
-    """AlgebraBinding.minterms for canonical lists: each list flips its bit
-    at both ends of its intervals.  Every endpoint flips a bit, so a mask's
-    segments come out sorted with real gaps between them: canonical."""
-    n = len(dnfs)
-    flips = {NEG_INF: 0, POS_INF: 0}
-    for j, dnf in enumerate(dnfs):
-        bit = 1 << (n - 1 - j)
-        for a in dnf:
-            flips[a.lo] = flips.get(a.lo, 0) ^ bit
-            flips[a.hi] = flips.get(a.hi, 0) ^ bit
-    points = sorted(flips)
-    segments = {}
-    mask = 0
-    for lo, hi in zip(points, points[1:]):
-        mask ^= flips[lo]
-        segments.setdefault(mask, []).append(IntervalAtom(lo, hi))
-    return [(m, tuple(segments[m])) for m in sorted(segments, reverse=True)]
-
-
 def to_dnf(p: Predicate) -> IntervalDnf:
     """Canonical DNF of an arbitrary interval predicate, in one walk.
 

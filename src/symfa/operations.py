@@ -14,9 +14,8 @@ algebra's solved form (see algebra.py), and runs its emptiness tests on
 those denotations.  A denotation costs O(l) interval operations yielding
 at most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
 each test after that is a merge of two interval lists or one AND of two
-truth tables.  A macro-state's minterms come from the binding (an
-endpoint sweep over intervals), and a minimize round costs one join per
-state and target block, not one meet per pair of edges of two states.
+truth tables.  A minimize round costs one join per state and target
+block, not one meet per pair of edges of two states.
 """
 
 from enum import Enum
@@ -156,15 +155,19 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     From a macro-state, every sign assignment over its outgoing component
     transitions (take ψ or ¬ψ) yields a minterm; satisfiable minterms with
     at least one positive member become transitions to the set of states
-    those members reach, in include-first order.  AlgebraBinding.minterms
-    does the split; the all-negative residual is omitted, so the output may
-    be incomplete.  Minterms are emitted as canonical atoms (interval) or
-    disjoint monomials (propositional), hence always neat and pairwise
-    disjoint: the output is deterministic.
+    those members reach, in include-first order.  Partial conjunctions are
+    pruned as soon as they become unsatisfiable, and the all-negative
+    residual is omitted, so the output may be incomplete.  Minterms are
+    emitted as canonical atoms (interval) or disjoint monomials
+    (propositional), hence always neat and pairwise disjoint: the output is
+    deterministic.
     """
     counters = counters if counters is not None else OpCounters()
     a = to_feasible(a, counters)
-    out = {q: [(t.dst, d) for t, d in ts] for q, ts in _denoted(a).items()}
+    out = {
+        q: [(t.dst, d, a.binding.complement(d)) for t, d in ts]
+        for q, ts in _denoted(a).items()
+    }
     start = frozenset({a.initial})
     order = [start]
     seen = {start}
@@ -174,10 +177,10 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         macro = order[i]
         i += 1
         moves = [move for q in sorted(macro) for move in out[q]]
-        for mask, x in a.binding.minterms([d for _, d in moves], counters):
+        for mask, x in _minterms(a.binding, moves, counters):
             if not mask:
                 continue
-            target = frozenset(dst for j, (dst, _) in enumerate(reversed(moves)) if mask >> j & 1)
+            target = frozenset(m[0] for j, m in enumerate(reversed(moves)) if mask >> j & 1)
             for pred in a.binding.basic_preds(x):
                 edges.append(Transition(subset_name(macro), pred, subset_name(target)))
             if target not in seen:
@@ -190,6 +193,34 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         frozenset(subset_name(s) for s in order if s & a.accepting),
         dedupe_transitions(edges),
     )
+
+
+def _minterms(binding, moves, counters):
+    """Satisfiable minterms of a transition list, as (mask, solved form).
+
+    moves holds (target, denotation, complement) triples; bit
+    len(moves) - 1 - j of mask is set iff moves[j] is taken rather than
+    negated, so the include-first depth-first search yields descending
+    masks.  Empty partial conjunctions are pruned; each emptiness test
+    counts as a sat call.  The search keeps an explicit stack, so no
+    self-calling closure holds the results in a reference cycle.
+    """
+    n = len(moves)
+    results = []
+    stack = [(0, binding.full, 0)]
+    while stack:
+        j, cur, mask = stack.pop()
+        counters.sat_calls += 1
+        if not cur:
+            continue
+        if j == n:
+            results.append((mask, cur))
+            continue
+        counters.conj_built += 2
+        _, den, neg = moves[j]
+        stack.append((j + 1, binding.meet(cur, neg), mask))
+        stack.append((j + 1, binding.meet(cur, den), mask | 1 << (n - 1 - j)))
+    return results
 
 
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:

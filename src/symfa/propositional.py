@@ -231,28 +231,6 @@ def _mask(p: Predicate, k: int, full: int) -> int:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _minterms(masks, k: int, counters) -> list:
-    """AlgebraBinding.minterms for truth tables: include-first depth-first
-    search over the members, carrying the partial meet and pruning it when
-    empty; each emptiness test counts as a sat call.  An explicit stack,
-    not a self-calling closure, so no reference cycle keeps `out` alive."""
-    n = len(masks)
-    out = []
-    stack = [(0, full_mask(k), 0)]
-    while stack:
-        j, cur, mask = stack.pop()
-        counters.sat_calls += 1
-        if not cur:
-            continue
-        if j == n:
-            out.append((mask, cur))
-            continue
-        counters.conj_built += 2
-        stack.append((j + 1, cur & ~masks[j], mask))
-        stack.append((j + 1, cur & masks[j], mask | 1 << (n - 1 - j)))
-    return out
-
-
 def disjoint_monomials(mask: int, k: int):
     """Cover a truth table by pairwise disjoint monomials.
 

@@ -10,7 +10,6 @@ from symfa import (
     Not,
     OpCounters,
     Or,
-    TRUE,
     UnsupportedAlgebra,
     interval_binding,
     mk_and,
@@ -153,40 +152,3 @@ def test_eval_respects_connective_semantics():
         assert b.evaluate(And((p, q)), x) == (b.evaluate(p, x) and b.evaluate(q, x))
         assert b.evaluate(Or((p, q)), x) == (b.evaluate(p, x) or b.evaluate(q, x))
         assert b.evaluate(Not(p), x) == (not b.evaluate(p, x))
-
-
-def _reference_minterms(b, xs):
-    """Include/exclude search over the members, include first: the non-empty
-    minterms as (mask, solved form), member 0 on the top bit of the mask."""
-    out = []
-
-    def rec(j, cur, mask):
-        if not cur:
-            return
-        if j == len(xs):
-            out.append((mask, cur))
-            return
-        bit = 1 << (len(xs) - 1 - j)
-        rec(j + 1, b.meet(cur, xs[j]), mask | bit)
-        rec(j + 1, b.meet(cur, b.complement(xs[j])), mask)
-
-    rec(0, b.denote(TRUE), 0)
-    return out
-
-
-def test_minterms_match_include_exclude_search():
-    rng = random.Random(23)
-    b = interval_binding()
-    infinite = 0
-    for _ in range(400):
-        preds = [rand_interval_pred(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 8))]
-        xs = [b.denote(p) for p in preds]
-        infinite += any(not -100 < e < 100 for x in xs for a in x for e in (a.lo, a.hi))
-        assert b.minterms(xs, OpCounters()) == _reference_minterms(b, xs)
-    assert infinite > 100
-    for k in (1, 3, 5):
-        pb = propositional_binding([f"p{i}" for i in range(k)])
-        for _ in range(60):
-            preds = [rand_prop_pred(rng, k, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
-            xs = [pb.denote(p) for p in preds]
-            assert pb.minterms(xs, OpCounters()) == _reference_minterms(pb, xs)

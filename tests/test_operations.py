@@ -44,14 +44,17 @@ from symfa.oracle import (
     representatives,
     short_words,
 )
+from symfa.operations import _minterms
 from symfa.sfa import rename_states
 from genlib import (
     add_unsat_edge,
     combination_agrees,
     rand_det_interval_sfa,
     rand_det_prop_sfa,
+    rand_interval_pred,
     rand_neat_interval_sfa,
     rand_neat_prop_sfa,
+    rand_prop_pred,
     rand_sfa,
     rewrite,
 )
@@ -223,6 +226,50 @@ def test_determinize_splits_overlap_into_minterms():
         expected.add(Transition(src, ia(100, 200), "{q1}"))
     assert set(d.transitions) == expected
 
+
+
+def _reference_minterms(b, dens, counters):
+    """Recursive include/exclude search, include first: the non-empty
+    minterms as (mask, solved form), member 0 on the top bit of the mask,
+    counting one sat call per node and two conjunctions per inner node."""
+    out = []
+
+    def rec(j, cur, mask):
+        counters.sat_calls += 1
+        if not cur:
+            return
+        if j == len(dens):
+            out.append((mask, cur))
+            return
+        counters.conj_built += 2
+        rec(j + 1, b.meet(cur, dens[j]), mask | 1 << (len(dens) - 1 - j))
+        rec(j + 1, b.meet(cur, b.complement(dens[j])), mask)
+
+    rec(0, b.denote(TRUE), 0)
+    return out
+
+
+def test_minterms_match_include_exclude_search():
+    rng = random.Random(23)
+    ib = interval_binding()
+    cases = []
+    for _ in range(400):
+        preds = [rand_interval_pred(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 8))]
+        cases.append((ib, [ib.denote(p) for p in preds]))
+    infinite = sum(
+        any(not -100 < e < 100 for x in dens for a in x for e in (a.lo, a.hi)) for _, dens in cases
+    )
+    assert infinite > 100
+    for k in (1, 3, 5):
+        pb = propositional_binding([f"p{i}" for i in range(k)])
+        for _ in range(60):
+            preds = [rand_prop_pred(rng, k, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+            cases.append((pb, [pb.denote(p) for p in preds]))
+    for b, dens in cases:
+        got, want = OpCounters(), OpCounters()
+        moves = [(None, d, b.complement(d)) for d in dens]
+        assert _minterms(b, moves, got) == _reference_minterms(b, dens, want)
+        assert (got.sat_calls, got.conj_built) == (want.sat_calls, want.conj_built)
 
 def test_determinize_two_state_is_stable(two_state):
     d = determinize(two_state)
