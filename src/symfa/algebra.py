@@ -120,12 +120,14 @@ class AlgebraBinding:
         return _holds(p, letter)
 
     def sat(self, p: Predicate, counters: OpCounters | None = None):
-        """A witness letter satisfying p, or None.  Counts one sat call."""
+        """A letter satisfying p, or None: the witness of p's denotation.
+
+        Counts one sat call.  A propositional witness is the lexicographically
+        least satisfying valuation, basic predicates included.
+        """
         if counters is not None:
             counters.sat_calls += 1
-        if self.kind == INTERVAL:
-            return self.witness(self.denote(p))
-        return propositional.prop_sat(p, self.k)
+        return self.witness(self.denote(p))
 
     def is_sat(self, p: Predicate, counters: OpCounters | None = None) -> bool:
         return self.sat(p, counters) is not None

@@ -139,8 +139,9 @@ def complement(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Swap accepting and rejecting states after completing.
 
     Requires a deterministic automaton (otherwise a word can have both an
-    accepting and a rejecting run); unsatisfiable transitions are dropped
-    first so the sink truly receives every missing letter.
+    accepting and a rejecting run).  Completion already ignores empty
+    denotations; unsatisfiable transitions are dropped first only so that
+    the output is feasible.
     """
     counters = counters if counters is not None else OpCounters()
     if not is_deterministic(a, counters):
@@ -227,16 +228,11 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Quotient by Moore partition refinement on block signatures.
 
     Unreachable states are dropped and the automaton is completed
-    internally when needed.  Blocks start as rejecting (0) and accepting
-    (1).  Each round a state's signature is its block plus, per target
-    block, the join of its non-empty outgoing denotations into that block
-    (its letter-to-block map, as the automaton is complete and
-    deterministic); equal signatures share the next round's block, so no
-    two states are compared.  Refinement stops when the block count stops
-    growing.  The quotient keeps one representative's (lowest index) edges
-    per block: verbatim for neat input (neat stays neat), merged per target
-    block otherwise.  A block created only by the internal completion is
-    removed again, so the result never exceeds the input's state count.
+    internally when needed; _signature_blocks then partitions the states.
+    The quotient keeps one representative's (lowest index) edges per block:
+    verbatim for neat input (neat stays neat), merged per target block
+    otherwise.  A block created only by the internal completion is removed
+    again, so the result never exceeds the input's state count.
     """
     counters = counters if counters is not None else OpCounters()
     if not is_deterministic(a, counters):
@@ -253,35 +249,13 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     c = complete(a, counters)
     sink = c.states[-1] if len(c.states) > len(a.states) else None
     out = c.out_map()
-    join, denote = c.binding.join, c.binding.denote
-    counters.sat_calls += len(c.transitions)
-    moves = {q: [(t.dst, d) for t in ts if (d := denote(t.pred))] for q, ts in out.items()}
-    index = {q: i for i, q in enumerate(c.states)}
-    block = {q: int(q in c.accepting) for q in c.states}
-    count = len(set(block.values()))
-
-    def signature(q):
-        by_block = {}
-        for dst, d in moves[q]:
-            by_block.setdefault(block[dst], []).append(d)
-        return block[q], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
-
-    while True:
-        ids = {}
-        refined = {q: ids.setdefault(signature(q), len(ids)) for q in c.states}
-        if len(ids) == count:
-            break
-        block, count = refined, len(ids)
-
+    block, _ = _signature_blocks(c, counters)
     members = {}
     for q in c.states:
         members.setdefault(block[q], []).append(q)
-    blocks = sorted(members.values(), key=lambda ms: min(index[q] for q in ms))
-    name_of = {}
-    for ms in blocks:
-        nm = subset_name(ms)
-        for q in ms:
-            name_of[q] = nm
+    # in state order, so blocks come by lowest member and ms[0] is that member
+    blocks = list(members.values())
+    name_of = {q: subset_name(ms) for ms in blocks for q in ms}
     dropped = name_of[sink] if sink is not None else None
     if dropped is not None and name_of[c.initial] == dropped:
         return Sfa(c.binding, (dropped,), dropped, frozenset(), ())
@@ -289,13 +263,12 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     edges = []
     kept = []
     for ms in blocks:
-        nm = subset_name(ms)
+        nm = name_of[ms[0]]
         if nm == dropped:
             continue
         kept.append(nm)
-        rep = min(ms, key=lambda q: index[q])
         rep_edges = [
-            Transition(nm, t.pred, name_of[t.dst]) for t in out[rep] if name_of[t.dst] != dropped
+            Transition(nm, t.pred, name_of[t.dst]) for t in out[ms[0]] if name_of[t.dst] != dropped
         ]
         if neat_input:
             edges.extend(rep_edges)
@@ -310,6 +283,39 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         frozenset(name_of[q] for q in c.accepting),
         dedupe_transitions(edges),
     )
+
+
+def _signature_blocks(c: Sfa, counters: OpCounters):
+    """Moore refinement of a complete deterministic automaton by signature.
+
+    Blocks start as rejecting (0) and accepting (1).  Each round a state's
+    signature is its block plus, per target block in ascending order, the
+    join of its non-empty outgoing denotations into that block (its
+    letter-to-block map); equal signatures share the next round's block, so
+    no two states are compared.  Refinement stops when the block count
+    stops growing.  Returns (state -> block, block -> its sorted (target
+    block, joined denotation) pairs), the second read off the last round's
+    signatures, which agree within each block.  Empty denotations are
+    dropped once up front, one sat call per transition.
+    """
+    join, denote = c.binding.join, c.binding.denote
+    counters.sat_calls += len(c.transitions)
+    moves = {q: [(t.dst, d) for t in ts if (d := denote(t.pred))] for q, ts in c.out_map().items()}
+    block = {q: int(q in c.accepting) for q in c.states}
+    count = len(set(block.values()))
+
+    def signature(q):
+        by_block = {}
+        for dst, d in moves[q]:
+            by_block.setdefault(block[dst], []).append(d)
+        return block[q], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
+
+    while True:
+        ids = {}
+        refined = {q: ids.setdefault(signature(q), len(ids)) for q in c.states}
+        if len(ids) == count:
+            return block, {b: letters for b, letters in ids}
+        block, count = refined, len(ids)
 
 
 def is_empty(a: Sfa, assume_feasible: bool = False, counters: OpCounters | None = None) -> bool:

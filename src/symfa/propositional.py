@@ -1,13 +1,12 @@
 """The propositional algebra: letters are valuations of k propositions.
 
 Atoms are literals (a proposition or its negation), so basic predicates are
-monomials and their satisfiability is a linear contradiction scan.  General
-predicates are decided on their truth table: an int of 2^k bits whose bit i
-is the predicate's value on valuation i of all_valuations.  Building one
-costs O(l) big-int operations on 2^k bits for a predicate of size l, which
-is why k is capped.  There is no unique minimal monomial cover for a
-valuation set, so nothing here canonicalizes general propositional
-predicates.
+monomials.  Every predicate, basic or not, is decided on its truth table: an
+int of 2^k bits whose bit i is the predicate's value on valuation i of
+all_valuations.  Building one costs O(l) big-int operations on 2^k bits for
+a predicate of size l, which is why k is capped.  There is no unique minimal
+monomial cover for a valuation set, so nothing here canonicalizes general
+propositional predicates.
 """
 
 import functools
@@ -55,58 +54,6 @@ def _var_mask(var: int, k: int) -> int:
         mask |= mask << width
         width <<= 1
     return mask
-
-
-def monomial_sat(lits, k: int) -> Valuation | None:
-    """Witness for a conjunction of literals, or None on a contradiction.
-
-    One linear scan: unsatisfiable iff some variable occurs with both
-    polarities.  Unconstrained variables get 0, so the witness is also the
-    lexicographically least satisfying valuation.
-    """
-    required = {}
-    for lit in lits:
-        want = 0 if lit.negated else 1
-        if required.setdefault(lit.var, want) != want:
-            return None
-    return tuple(required.get(i, 0) for i in range(k))
-
-
-def _literals_of_basic(p: Predicate):
-    """Literal list of a basic predicate, or None if p is not basic here.
-
-    FALSE (alone or as a conjunct) means unsatisfiable; represented by a
-    contradictory pair so monomial_sat reports it.
-    """
-    if isinstance(p, _TruePred):
-        return []
-    if isinstance(p, _FalsePred):
-        return [LiteralAtom(0, False), LiteralAtom(0, True)]
-    if isinstance(p, Atom) and isinstance(p.payload, LiteralAtom):
-        return [p.payload]
-    if isinstance(p, And):
-        lits = []
-        for c in p.children:
-            sub = _literals_of_basic(c)
-            if sub is None:
-                return None
-            lits.extend(sub)
-        return lits
-    return None
-
-
-def prop_sat(p: Predicate, k: int) -> Valuation | None:
-    """First satisfying valuation in lexicographic order, or None.
-
-    Basic predicates short-circuit through the contradiction scan; general
-    ones take the lowest set bit of their truth table.
-    """
-    if k > MAX_PROPS:
-        raise ValueError(f"propositional algebra capped at {MAX_PROPS} propositions, got {k}")
-    lits = _literals_of_basic(p)
-    if lits is not None:
-        return monomial_sat(lits, k)
-    return _witness(mask_of(p, k), k)
 
 
 def _witness(mask: int, k: int) -> Valuation | None:
@@ -238,23 +185,22 @@ def disjoint_monomials(mask: int, k: int):
     is uniformly full emits the monomial of its path, so the cover is exact
     and its members never overlap.  At depth i the subtree is a table of
     2^(k-i) bits whose low half has variable i false.  Used where expanded
-    predicates must not reintroduce nondeterminism.
+    predicates must not reintroduce nondeterminism.  The split keeps an
+    explicit stack, so no self-calling closure holds the output in a
+    reference cycle.
     """
     out = []
-
-    def rec(i, path, m):
+    stack = [(0, (), mask)]
+    while stack:
+        i, path, m = stack.pop()
         if not m:
-            return
+            continue
         width = 1 << (k - i)
         if m == (1 << width) - 1:
-            out.append(tuple(path))
-            return
+            out.append(path)
+            continue
         half = width >> 1
-        path.append(LiteralAtom(i, negated=True))
-        rec(i + 1, path, m & ((1 << half) - 1))
-        path[-1] = LiteralAtom(i, negated=False)
-        rec(i + 1, path, m >> half)
-        path.pop()
-
-    rec(0, [], mask)
+        # pushed second, so the negated (low) half is split first
+        stack.append((i + 1, path + (LiteralAtom(i, negated=False),), m >> half))
+        stack.append((i + 1, path + (LiteralAtom(i, negated=True),), m & ((1 << half) - 1)))
     return out

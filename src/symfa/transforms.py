@@ -24,7 +24,6 @@ from .sfa import (
     Transition,
     dedupe_transitions,
     edges_by_pair,
-    is_complete,
     is_deterministic,
     is_neat,
     is_normalized,
@@ -86,34 +85,37 @@ def to_feasible(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Add a non-accepting sink absorbing every uncovered letter.
 
-    Already-complete automata come back unchanged.  Each state's residual
-    is the complement of the union of its outgoing denotations.  Neat input
-    stays neat: the residual becomes basic predicates, the gaps between the
+    Each state's residual is the complement of the union of its outgoing
+    denotations, computed once per state with one sat call; when every
+    residual is empty the automaton comes back unchanged.  Neat input stays
+    neat: the residual becomes basic predicates, the gaps between the
     covered intervals (at most out-degree + 1 single-atom edges per state)
     or disjoint monomials covering the missing valuations.  Otherwise each
-    state gets one edge labeled with the negated disjunction of its
-    outgoing predicates, when satisfiable.  Completion never breaks
+    state with a non-empty residual gets one edge labeled with the negated
+    disjunction of its outgoing predicates.  Completion never breaks
     determinism: all added predicates avoid the covered letters.
     """
     counters = counters if counters is not None else OpCounters()
-    if is_complete(a, counters):
-        return a
     binding = a.binding
+    out = a.out_map()
+    residuals = {}
+    for q, ts in out.items():
+        counters.sat_calls += 1
+        counters.disj_built += max(0, len(ts) - 1)
+        residuals[q] = binding.complement(binding.join([binding.denote(t.pred) for t in ts]))
+    if not any(residuals.values()):
+        return a
     sink = fresh_state_name(set(a.states), "sink")
     neat = is_neat(a)
     edges = []
-    for q, ts in a.out_map().items():
-        preds = [t.pred for t in ts]
-        residual = binding.complement(binding.join([binding.denote(p) for p in preds]))
+    for q, ts in out.items():
+        residual = residuals[q]
         if neat:
             edges.extend(Transition(q, p, sink) for p in binding.basic_preds(residual))
-        elif not preds:
+        elif not ts:
             edges.append(Transition(q, TRUE, sink))
-        else:
-            counters.disj_built += len(preds) - 1
-            counters.sat_calls += 1
-            if residual:
-                edges.append(Transition(q, mk_not(mk_or(preds)), sink))
+        elif residual:
+            edges.append(Transition(q, mk_not(mk_or([t.pred for t in ts])), sink))
     edges.append(Transition(sink, TRUE, sink))
     return Sfa(
         a.binding,
@@ -127,31 +129,33 @@ def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """The unique minimal-state deterministic complete neat form.
 
-    Determinize unless already deterministic, complete, minimize, then
-    re-express every block-to-block letter set as its canonical intervals
-    (one transition per atom) and rename states q0, q1, ... in breadth-first
-    order, exploring transitions by ascending interval.  No step after
-    determinizing sees what it would change (state names, unreachable
-    states, unsatisfiable edges), so language-equal inputs yield
-    structurally equal outputs.  Interval binding only: no unique minimal
-    neat form exists for the propositional algebra.
+    Determinize unless already deterministic, complete, and refine states
+    into blocks by signature (operations._signature_blocks, as minimize
+    does).  Each block's signature already holds, per target block, the
+    canonical intervals of its letters; they become one transition per
+    atom, and blocks are renamed q0, q1, ... in breadth-first order from
+    the initial state's block, exploring transitions by ascending interval.
+    No step after determinizing sees what it would change (state names,
+    unreachable states, unsatisfiable edges), so language-equal inputs
+    yield structurally equal outputs.  Interval binding only: no unique
+    minimal neat form exists for the propositional algebra.
     """
     if not a.binding.is_monotonic:
         raise UnsupportedAlgebra("canonical minimal forms need the interval algebra")
+    counters = counters if counters is not None else OpCounters()
     # imported here: operations imports complete from this module
-    from .operations import determinize, minimize
+    from .operations import _signature_blocks, determinize
 
     d = a if is_deterministic(a, counters) else determinize(a, counters)
-    mini = minimize(complete(d, counters), counters)
-    binding = mini.binding
-    outgoing = {q: [] for q in mini.states}
-    for (src, dst), preds in edges_by_pair(mini.transitions).items():
-        for atom in binding.join([binding.denote(p) for p in preds]):
-            outgoing[src].append((atom, dst))
-    for q in outgoing:
-        outgoing[q].sort(key=lambda e: (e[0].lo, e[0].hi))
-    names = {mini.initial: "q0"}
-    order = [mini.initial]
+    c = complete(d, counters)
+    block, letters = _signature_blocks(c, counters)
+    outgoing = {
+        b: sorted(((atom, dst) for dst, x in sig for atom in x), key=lambda e: (e[0].lo, e[0].hi))
+        for b, sig in letters.items()
+    }
+    start = block[c.initial]
+    names = {start: "q0"}
+    order = [start]
     i = 0
     while i < len(order):
         for _, dst in outgoing[order[i]]:
@@ -160,14 +164,14 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
                 order.append(dst)
         i += 1
     return Sfa(
-        mini.binding,
-        tuple(names[q] for q in order),
+        c.binding,
+        tuple(names[b] for b in order),
         "q0",
-        frozenset(names[q] for q in mini.accepting if q in names),
+        frozenset(names[block[q]] for q in c.accepting if block[q] in names),
         tuple(
-            Transition(names[q], Atom(atom), names[dst])
-            for q in order
-            for atom, dst in outgoing[q]
+            Transition(names[b], Atom(atom), names[dst])
+            for b in order
+            for atom, dst in outgoing[b]
         ),
     )
 

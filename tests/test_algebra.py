@@ -122,7 +122,7 @@ def test_witness_is_none_exactly_when_empty_and_matches_sat():
         _check_witness(b, rand_interval_pred(rng, rng.randint(1, 10)))
         _check_witness(b, mk_and([Atom(rand_interval_atom(rng)) for _ in range(rng.randint(1, 3))]))
         _check_witness(pb, rand_prop_pred(rng, 4, rng.randint(1, 10)))
-        # basic predicates take prop_sat's monomial path, not the truth table
+        # basic predicates are decided on their truth table like any other
         _check_witness(pb, rand_monomial(rng, 4))
         _check_witness(pb, mk_and([rand_monomial(rng, 4), rand_monomial(rng, 4)]))
 

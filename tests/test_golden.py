@@ -1,7 +1,8 @@
 """Golden outputs: constructions must reproduce recorded files byte for byte.
 
-Each case runs one construction (determinize, complete, minimize, or a
-product) on a seeded genlib input in one algebra and compares the SHA-256
+Each case runs one construction (determinize, complete, minimize, a
+product, or an interval canonical form) on a seeded genlib input in one
+algebra and compares the SHA-256
 of emit_sfa's text with the digest in data/golden_emit.json.  The digests
 pin predicates, state names and transition order, so a change to how the
 algebra decides emptiness cannot silently change what is built.
@@ -18,6 +19,8 @@ import random
 
 from symfa import (
     ProductMode,
+    canonical_minimal_neat,
+    canonical_minimal_normalized,
     complete,
     determinize,
     emit_sfa,
@@ -75,6 +78,10 @@ def outputs():
                 "intersect": product(a, b, ProductMode.INTERSECT),
                 "union": product(complete(da), complete(db), ProductMode.UNION),
             }
+            if algebra == "interval":
+                for name, x in (("a", a), ("b", b), ("det", det)):
+                    built[f"canonical-neat-{name}"] = canonical_minimal_neat(x)
+                    built[f"canonical-normalized-{name}"] = canonical_minimal_normalized(x)
             for op, sfa in built.items():
                 out[f"{algebra}/{s}/{op}"] = emit_sfa(sfa)
     return out

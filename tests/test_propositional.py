@@ -9,6 +9,7 @@ from symfa import (
     Not,
     Or,
     TRUE,
+    UnsupportedAlgebra,
     mk_and,
     mk_or,
     propositional_binding,
@@ -17,12 +18,10 @@ from symfa.propositional import (
     all_valuations,
     disjoint_monomials,
     mask_of,
-    monomial_sat,
     monomial_to_pred,
     monomials_of,
-    prop_sat,
 )
-from genlib import rand_prop_pred
+from genlib import rand_monomial, rand_prop_pred
 
 K = 3
 BINDING = propositional_binding(["p1", "p2", "p3"])
@@ -38,35 +37,39 @@ def table(vals, k=K):
 
 
 def test_monomial_sat_assigns_required_polarities():
-    lits = [LiteralAtom(0), LiteralAtom(1, True), LiteralAtom(2)]
-    assert monomial_sat(lits, K) == (1, 0, 1)
+    m = mk_and([lit(0), lit(1, True), lit(2)])
+    assert BINDING.sat(m) == (1, 0, 1)
+    # unconstrained variables get 0: the lexicographically least valuation
+    assert BINDING.sat(lit(1, True)) == (0, 0, 0)
+    assert BINDING.sat(mk_and([lit(2), lit(0, True)])) == (0, 0, 1)
 
 
 def test_monomial_sat_contradiction():
-    assert monomial_sat([LiteralAtom(0), LiteralAtom(0, True)], K) is None
+    assert BINDING.sat(mk_and([lit(0), lit(0, True)])) is None
+    assert BINDING.witness(BINDING.denote(mk_and([lit(1), lit(2), lit(1, True)]))) is None
 
 
 def test_monomial_sat_empty_is_all_zero():
-    assert monomial_sat([], K) == (0, 0, 0)
+    assert BINDING.sat(monomial_to_pred(())) == (0, 0, 0)
 
 
 def test_prop_sat_returns_first_lexicographic_witness():
     psi = Or((And((lit(0), lit(1, True))), And((lit(0), lit(1), lit(2)))))
-    assert prop_sat(psi, K) == (1, 0, 0)
+    assert BINDING.sat(psi) == (1, 0, 0)
     assert mask_of(psi, K) == table({(1, 0, 0), (1, 0, 1), (1, 1, 1)})
 
 
 def test_prop_sat_contradiction_is_none():
-    assert prop_sat(mk_and([lit(0), Not(lit(0))]), K) is None
+    assert BINDING.sat(mk_and([lit(0), Not(lit(0))])) is None
 
 
 def test_prop_sat_true_is_all_zero():
-    assert prop_sat(TRUE, 2) == (0, 0)
+    assert propositional_binding(["p1", "p2"]).sat(TRUE) == (0, 0)
 
 
 def test_prop_sat_rejects_oversized_k():
-    with pytest.raises(ValueError):
-        prop_sat(TRUE, 17)
+    with pytest.raises(UnsupportedAlgebra):
+        propositional_binding([f"p{i + 1}" for i in range(17)])
 
 
 def test_prop_sat_agrees_with_enumeration():
@@ -74,7 +77,11 @@ def test_prop_sat_agrees_with_enumeration():
     for _ in range(300):
         p = rand_prop_pred(rng, K, rng.randint(1, 8))
         expect = next((v for v in all_valuations(K) if BINDING.evaluate(p, v)), None)
-        assert prop_sat(p, K) == expect
+        assert BINDING.sat(p) == expect
+    for _ in range(300):
+        m = mk_and([rand_monomial(rng, K) for _ in range(rng.randint(1, 2))])
+        expect = next((v for v in all_valuations(K) if BINDING.evaluate(m, v)), None)
+        assert BINDING.sat(m) == expect
 
 
 # The DNF of a proposition is its monomials_of list; these tests keep the
@@ -107,7 +114,7 @@ def test_prop_to_dnf_equivalence_and_monomial_shape():
         d = mk_or([monomial_to_pred(m) for m in mono])
         assert mask_of(d, K) == mask_of(p, K)
         for m in mono:
-            assert monomial_sat(list(m), K) is not None
+            assert BINDING.sat(monomial_to_pred(m)) is not None
 
 
 def test_disjoint_monomials_partition_their_mask():
@@ -134,7 +141,7 @@ def test_truth_tables_agree_with_evaluate_exhaustively(k):
         truth = [binding.evaluate(p, v) for v in vals]
         mask = mask_of(p, k)
         assert [mask >> i & 1 == 1 for i in range(len(vals))] == truth
-        assert prop_sat(p, k) == next((v for v, t in zip(vals, truth) if t), None)
+        assert binding.sat(p) == next((v for v, t in zip(vals, truth) if t), None)
         cover = disjoint_monomials(mask, k)
         assert sum(mask_of(monomial_to_pred(m), k) for m in cover) == mask
 
@@ -145,8 +152,8 @@ def test_k16_witnesses_satisfy_and_contradictions_are_none():
     rng = random.Random(16)
     for _ in range(20):
         p = rand_prop_pred(rng, k, rng.randint(6, 14))
-        w = prop_sat(p, k)
+        w = binding.sat(p)
         if w is not None:
             assert binding.evaluate(p, w)
-        assert prop_sat(Not(Or((p, Not(p)))), k) is None
-        assert prop_sat(And((p, Not(p))), k) is None
+        assert binding.sat(Not(Or((p, Not(p))))) is None
+        assert binding.sat(And((p, Not(p)))) is None

@@ -10,6 +10,7 @@ from symfa import (
     LiteralAtom,
     NEG_INF,
     Not,
+    OpCounters,
     Or,
     POS_INF,
     Sfa,
@@ -242,7 +243,10 @@ def test_complete_properties():
         cases.append(rand_det_prop_sfa(rng, complete=False))
     for a in cases:
         t = size_triple(a)
-        c = complete(a)
+        counters = OpCounters()
+        c = complete(a, counters)
+        # coverage is decided once: one sat call per state, sink or no sink
+        assert counters.sat_calls == len(a.states)
         assert is_complete(c)
         if a.binding.is_monotonic:
             assert len(c.transitions) - len(a.transitions) <= t.n * (t.m + 1) + 1
