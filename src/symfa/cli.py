@@ -253,7 +253,7 @@ def _dispatch(args) -> int:
         a, b = _load(args.a), _load(args.b)
         t0 = time.perf_counter()
         mode = "equal" if cmd == "debug-equal" else "subset"
-        witness = oracle.separating_word(a, b, mode=mode)
+        witness = oracle.separating_word(a, b, oracle.representatives(a, b), mode=mode)
         res = True if witness is None else [list(x) if isinstance(x, tuple) else x for x in witness]
         _report(args, cmd, [a, b], None, counters, _ms(t0), res)
         return 0 if witness is None else 1

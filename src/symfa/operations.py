@@ -9,7 +9,8 @@ per-state signatures.  Neat inputs produce neat outputs throughout:
 interval negation expands into atoms, propositional residuals into
 disjoint monomials.
 
-Every construction denotes each transition predicate once, in its
+Each pass (determinism check, completion, refinement, product, subset
+construction) denotes each transition predicate it reads once, in its
 algebra's solved form (see algebra.py), and runs its emptiness tests on
 those denotations.  A denotation costs O(l) interval operations yielding
 at most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
@@ -32,6 +33,7 @@ from .predicates import (
 from .sfa import (
     Sfa,
     Transition,
+    _explore,
     dedupe_transitions,
     edges_by_pair,
     is_complete,
@@ -39,7 +41,7 @@ from .sfa import (
     is_neat,
     reachable_states,
 )
-from .transforms import complete, to_feasible
+from .transforms import _state_names, complete, to_feasible
 
 
 class ProductMode(Enum):
@@ -65,6 +67,9 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     component would silently drop words of the other).  Basic interval
     predicates conjoin into a single atom, so neat inputs give neat output.
     Each component transition is denoted once; a pair costs one meet.
+    Pair states are explored breadth-first and named once each (see
+    _state_names).  Duplicate edges are dropped: two edge pairs of one
+    state pair can fold into the same interval atom.
     """
     counters = counters if counters is not None else OpCounters()
     a.binding.check_same(b.binding)
@@ -75,37 +80,22 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
             raise SfaError("union requires complete inputs")
     out_a = _denoted(a)
     out_b = _denoted(b)
-    start = (a.initial, b.initial)
-    order = [start]
-    seen = {start}
-    edges = []
-    i = 0
-    while i < len(order):
-        q1, q2 = order[i]
-        i += 1
-        for t1, d1 in out_a[q1]:
-            for t2, d2 in out_b[q2]:
+
+    def step(pair):
+        for t1, d1 in out_a[pair[0]]:
+            for t2, d2 in out_b[pair[1]]:
                 pred = _conjoin(a.binding, t1.pred, d1, t2.pred, d2, counters)
-                if pred is None:
-                    continue
-                target = (t1.dst, t2.dst)
-                edges.append(
-                    Transition(pair_name(q1, q2), pred, pair_name(*target))
-                )
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
-    if mode is ProductMode.INTERSECT:
-        accepting = [p for p in order if p[0] in a.accepting and p[1] in b.accepting]
-    else:
-        accepting = [p for p in order if p[0] in a.accepting or p[1] in b.accepting]
-    return Sfa(
-        a.binding,
-        tuple(pair_name(*p) for p in order),
-        pair_name(*start),
-        frozenset(pair_name(*p) for p in accepting),
-        dedupe_transitions(edges),
+                if pred is not None:
+                    yield pred, (t1.dst, t2.dst)
+
+    pairs, edges = _explore((a.initial, b.initial), step)
+    names = _state_names(pair_name(*p) for p in pairs)
+    accepts = all if mode is ProductMode.INTERSECT else any
+    accepting = (
+        nm for nm, (q1, q2) in zip(names, pairs) if accepts((q1 in a.accepting, q2 in b.accepting))
     )
+    edges = dedupe_transitions(Transition(names[i], pred, names[j]) for i, pred, j in edges)
+    return Sfa(a.binding, names, names[0], accepting, edges)
 
 
 def _denoted(a: Sfa):
@@ -161,39 +151,27 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     residual is omitted, so the output may be incomplete.  Minterms are
     emitted as canonical atoms (interval) or disjoint monomials
     (propositional), hence always neat and pairwise disjoint: the output is
-    deterministic.
+    deterministic.  Macro-states are explored breadth-first and named once
+    each (see _state_names).  An unsatisfiable transition's include branch
+    is pruned, so no pre-pass drops it; a macro-state's minterms are
+    disjoint and non-empty, so no edge repeats.  The sat calls are the
+    nodes of one pruned search per reachable macro-state.
     """
     counters = counters if counters is not None else OpCounters()
-    a = to_feasible(a, counters)
-    out = {
-        q: [(t.dst, d, a.binding.complement(d)) for t, d in ts]
-        for q, ts in _denoted(a).items()
-    }
-    start = frozenset({a.initial})
-    order = [start]
-    seen = {start}
-    edges = []
-    i = 0
-    while i < len(order):
-        macro = order[i]
-        i += 1
+    binding = a.binding
+    out = {q: [(t.dst, d, binding.complement(d)) for t, d in ts] for q, ts in _denoted(a).items()}
+
+    def step(macro):
         moves = [move for q in sorted(macro) for move in out[q]]
-        for mask, x in _minterms(a.binding, moves, counters):
-            if not mask:
-                continue
-            target = frozenset(m[0] for j, m in enumerate(reversed(moves)) if mask >> j & 1)
-            for pred in a.binding.basic_preds(x):
-                edges.append(Transition(subset_name(macro), pred, subset_name(target)))
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-    return Sfa(
-        a.binding,
-        tuple(subset_name(s) for s in order),
-        subset_name(start),
-        frozenset(subset_name(s) for s in order if s & a.accepting),
-        dedupe_transitions(edges),
-    )
+        for mask, x in _minterms(binding, moves, counters):
+            if mask:
+                yield x, frozenset(m[0] for j, m in enumerate(reversed(moves)) if mask >> j & 1)
+
+    macros, edges = _explore(frozenset({a.initial}), step)
+    names = _state_names(subset_name(s) for s in macros)
+    accepting = (nm for nm, s in zip(names, macros) if s & a.accepting)
+    edges = (Transition(names[i], p, names[j]) for i, x, j in edges for p in binding.basic_preds(x))
+    return Sfa(binding, names, names[0], accepting, edges)
 
 
 def _minterms(binding, moves, counters):
@@ -255,7 +233,8 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         members.setdefault(block[q], []).append(q)
     # in state order, so blocks come by lowest member and ms[0] is that member
     blocks = list(members.values())
-    name_of = {q: subset_name(ms) for ms in blocks for q in ms}
+    names = _state_names(subset_name(ms) for ms in blocks)
+    name_of = {q: nm for ms, nm in zip(blocks, names) for q in ms}
     dropped = name_of[sink] if sink is not None else None
     if dropped is not None and name_of[c.initial] == dropped:
         return Sfa(c.binding, (dropped,), dropped, frozenset(), ())
@@ -296,7 +275,8 @@ def _signature_blocks(c: Sfa, counters: OpCounters):
     stops growing.  Returns (state -> block, block -> its sorted (target
     block, joined denotation) pairs), the second read off the last round's
     signatures, which agree within each block.  Empty denotations are
-    dropped once up front, one sat call per transition.
+    dropped once up front, one sat call per transition; each signature
+    counts one disjunction per denotation joined into another.
     """
     join, denote = c.binding.join, c.binding.denote
     counters.sat_calls += len(c.transitions)
@@ -308,6 +288,7 @@ def _signature_blocks(c: Sfa, counters: OpCounters):
         by_block = {}
         for dst, d in moves[q]:
             by_block.setdefault(block[dst], []).append(d)
+        counters.disj_built += len(moves[q]) - len(by_block)
         return block[q], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
 
     while True:
@@ -343,16 +324,18 @@ def is_empty(a: Sfa, assume_feasible: bool = False, counters: OpCounters | None 
 def includes(a: Sfa, b: Sfa, counters: OpCounters | None = None) -> bool:
     """L(a) ⊆ L(b), via emptiness of L(a) ∩ complement(L(b)).
 
-    b is determinized on demand (complementation needs it); a never is,
-    since the product tolerates nondeterminism on its left input.  The
-    product prunes unsatisfiable edges, so the emptiness check can take the
-    feasible fast path.
+    b is determinized on demand, when complement's own determinism check
+    rejects it; a never is, since the product tolerates nondeterminism on
+    its left input.  The product prunes unsatisfiable edges, so the
+    emptiness check can take the feasible fast path.
     """
     counters = counters if counters is not None else OpCounters()
     a.binding.check_same(b.binding)
-    if not is_deterministic(b, counters):
-        b = determinize(b, counters)
-    diff = product(a, complement(b, counters), ProductMode.INTERSECT, counters)
+    try:
+        not_b = complement(b, counters)
+    except NondeterministicInput:
+        not_b = complement(determinize(b, counters), counters)
+    diff = product(a, not_b, ProductMode.INTERSECT, counters)
     return is_empty(diff, assume_feasible=True, counters=counters)
 
 

@@ -187,17 +187,30 @@ def size_triple(a: Sfa) -> SizeTriple:
 
 
 def reachable_states(a: Sfa) -> set:
-    """States reachable from the initial state ignoring predicate content."""
+    """States reachable from the initial state ignoring predicate content,
+    found by the breadth-first _explore."""
     out = a.out_map()
-    seen = {a.initial}
-    stack = [a.initial]
-    while stack:
-        q = stack.pop()
-        for t in out[q]:
-            if t.dst not in seen:
-                seen.add(t.dst)
-                stack.append(t.dst)
-    return seen
+    states, _ = _explore(a.initial, lambda q: ((None, t.dst) for t in out[q]))
+    return set(states)
+
+
+def _explore(start, step):
+    """Breadth-first closure of start under step.
+
+    step(key) yields (label, target key) pairs, keys being hashable.
+    Returns the keys in discovery order, start first, and every yielded
+    edge as (source index, label, target index), in yield order.
+    """
+    index = {start: 0}
+    keys = [start]
+    edges = []
+    for i, key in enumerate(keys):  # keys grows while it is walked
+        for label, target in step(key):
+            j = index.setdefault(target, len(keys))
+            if j == len(keys):
+                keys.append(target)
+            edges.append((i, label, j))
+    return keys, edges
 
 
 def rename_states(a: Sfa, mapping) -> Sfa:

@@ -22,6 +22,7 @@ from .propositional import monomial_to_pred, monomials_of
 from .sfa import (
     Sfa,
     Transition,
+    _explore,
     dedupe_transitions,
     edges_by_pair,
     is_deterministic,
@@ -37,6 +38,16 @@ def fresh_state_name(taken, base: str) -> str:
     while f"{base}{i}" in taken:
         i += 1
     return f"{base}{i}"
+
+
+def _state_names(bases) -> tuple:
+    """One distinct state name per base, in order: a base already taken by
+    an earlier name gets fresh_state_name's numeric suffix, so composite
+    names like "{a,b}" stay distinct when the component names hold commas."""
+    taken = {}
+    for base in bases:
+        taken[fresh_state_name(taken, base)] = None
+    return tuple(taken)
 
 
 def to_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
@@ -153,26 +164,14 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         b: sorted(((atom, dst) for dst, x in sig for atom in x), key=lambda e: (e[0].lo, e[0].hi))
         for b, sig in letters.items()
     }
-    start = block[c.initial]
-    names = {start: "q0"}
-    order = [start]
-    i = 0
-    while i < len(order):
-        for _, dst in outgoing[order[i]]:
-            if dst not in names:
-                names[dst] = f"q{len(order)}"
-                order.append(dst)
-        i += 1
+    order, edges = _explore(block[c.initial], outgoing.__getitem__)
+    accepting = {block[q] for q in c.accepting}
     return Sfa(
         c.binding,
-        tuple(names[b] for b in order),
+        tuple(f"q{i}" for i in range(len(order))),
         "q0",
-        frozenset(names[block[q]] for q in c.accepting if block[q] in names),
-        tuple(
-            Transition(names[b], Atom(atom), names[dst])
-            for b in order
-            for atom, dst in outgoing[b]
-        ),
+        frozenset(f"q{i}" for i, b in enumerate(order) if b in accepting),
+        tuple(Transition(f"q{i}", Atom(atom), f"q{j}") for i, atom, j in edges),
     )
 
 

@@ -29,7 +29,7 @@ from symfa import (
     propositional_binding,
 )
 from symfa.propositional import all_valuations, disjoint_monomials, monomial_to_pred
-from symfa.sfa import dedupe_transitions
+from symfa.sfa import dedupe_transitions, rename_states
 from symfa.transforms import fresh_state_name
 
 POOL_LO, POOL_HI = -8, 16
@@ -361,3 +361,35 @@ def combination_agrees(a: Sfa, b: Sfa, combined: Sfa, want) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+COMMA_NAMES = ("a", "b", "a,b", "p", "p,q", "q", "q,r", "r")
+
+
+def comma_nfa() -> Sfa:
+    """NFA whose subset construction reaches both {a, b} and {"a,b"}: two
+    macro-states that "{" + ",".join(...) + "}" alone would name "{a,b}".
+    It accepts ([10,20) [0,5))* [0,10)+: "a,b" rejects and returns to s on
+    [0,5)."""
+    return Sfa(
+        interval_binding(),
+        ("s", "a", "b", "a,b"),
+        "s",
+        {"a"},
+        (
+            Transition("s", Atom(IntervalAtom(0, 10)), "a"),
+            Transition("s", Atom(IntervalAtom(0, 10)), "b"),
+            Transition("s", Atom(IntervalAtom(10, 20)), "a,b"),
+            Transition("a", Atom(IntervalAtom(0, 10)), "a"),
+            Transition("b", Atom(IntervalAtom(0, 10)), "b"),
+            Transition("a,b", Atom(IntervalAtom(0, 5)), "s"),
+        ),
+    )
+
+
+def rand_comma_named_sfa(rng: random.Random) -> Sfa:
+    """rand_sfa over intervals with states drawn from COMMA_NAMES, so pair
+    and subset names of its constructions can coincide."""
+    a = rand_sfa(rng, interval_binding(), n_max=3, m_max=3, pred_size=2)
+    names = rng.sample(COMMA_NAMES, len(a.states))
+    return rename_states(a, dict(zip(a.states, names)))

@@ -16,8 +16,10 @@ from symfa import (
 )
 from symfa import operations
 from symfa.cli import main
+from symfa.oracle import separating_word
 from symfa.serialize import MAX_PRED_DEPTH
 from conftest import DATA
+from genlib import comma_nfa
 
 TWO_STATE = str(DATA / "two_state.sfa")
 GOLDEN_DOT = DATA / "two_state.dot"
@@ -168,6 +170,43 @@ def test_debug_commands(capsys, tmp_path, two_state):
     assert code == 1
     assert json.loads(out)["result"] == []
     assert run(capsys, "debug-subset", comp, TWO_STATE)[0] == 1
+
+
+def test_debug_commands_answer_wide_atoms_at_once(capsys, tmp_path):
+    # one letter per segment between endpoints, not every integer up to 10^9
+    wide = Sfa(
+        interval_binding(),
+        ("q0", "q1"),
+        "q0",
+        {"q1"},
+        (Transition("q0", ia(0, 10**9), "q1"),),
+    )
+    narrow = Sfa(
+        wide.binding, wide.states, "q0", {"q1"}, (Transition("q0", ia(0, 10**9 - 1), "q1"),)
+    )
+    w, n = write(tmp_path, "wide.sfa", wide), write(tmp_path, "narrow.sfa", narrow)
+    assert run(capsys, "debug-equal", w, w)[0] == 0
+    assert run(capsys, "debug-subset", n, w)[0] == 0
+    code, out, _ = run(capsys, "debug-subset", w, n, "--json")
+    assert code == 1
+    assert json.loads(out)["result"] == [10**9 - 1]
+
+
+def test_include_and_equiv_on_comma_named_states(capsys, tmp_path):
+    # determinizing comma_nfa reaches two macro-states both spelled {a,b}
+    a = comma_nfa()
+    first = Sfa(a.binding, ("x", "y"), "x", {"y"}, (Transition("x", ia(0, 20), "y"),))
+    pa, pf = write(tmp_path, "comma.sfa", a), write(tmp_path, "first.sfa", first)
+    for cmd, x, y, px, py in (
+        ("include", a, a, pa, pa),
+        ("equiv", a, a, pa, pa),
+        ("include", first, a, pf, pa),
+        ("include", a, first, pa, pf),
+        ("equiv", first, a, pf, pa),
+    ):
+        mode = "subset" if cmd == "include" else "equal"
+        want = separating_word(x, y, mode=mode) is None
+        assert run(capsys, cmd, px, py)[0] == (0 if want else 1)
 
 
 def test_missing_file_exits_2(capsys):

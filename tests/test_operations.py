@@ -34,6 +34,7 @@ from symfa import (
     product,
     propositional_binding,
     size_triple,
+    validate,
 )
 from symfa.oracle import (
     concretize,
@@ -42,19 +43,22 @@ from symfa.oracle import (
     oracle_equal,
     oracle_subset,
     representatives,
+    separating_word,
     short_words,
 )
-from symfa.operations import _minterms
+from symfa.operations import _minterms, _signature_blocks
 from symfa.sfa import rename_states
 from genlib import (
     add_unsat_edge,
     combination_agrees,
+    comma_nfa,
     rand_det_interval_sfa,
     rand_det_prop_sfa,
     rand_interval_pred,
     rand_neat_interval_sfa,
     rand_neat_prop_sfa,
     rand_prop_pred,
+    rand_comma_named_sfa,
     rand_sfa,
     rewrite,
 )
@@ -364,6 +368,27 @@ def test_minimize_merges_states_that_differ_by_an_unsat_edge():
     assert oracle_equal(mini, a)
 
 
+def test_signature_blocks_count_joins_per_state_and_round():
+    # q0 reaches q1 by two edges: one join in each of the two rounds
+    a = Sfa(
+        interval_binding(),
+        ("q0", "q1", "q2"),
+        "q0",
+        {"q2"},
+        (
+            Transition("q0", ia(NEG_INF, 0), "q1"),
+            Transition("q0", ia(0, POS_INF), "q1"),
+            Transition("q1", TRUE, "q2"),
+            Transition("q2", TRUE, "q2"),
+        ),
+    )
+    c = OpCounters()
+    block, letters = _signature_blocks(a, c)
+    assert len(set(block.values())) == 3
+    assert [dst for dst, _ in letters[block["q0"]]] == [block["q1"]]
+    assert c.disj_built == 2
+
+
 def test_minimize_requires_deterministic():
     with pytest.raises(NondeterministicInput):
         minimize(overlap_nfa())
@@ -548,3 +573,61 @@ def test_complement_is_an_involution():
         cc = complement(complement(d))
         assert oracle_equal(cc, d, representatives(cc, d))
         assert equivalent(cc, d)
+
+
+# State names that hold commas: composite names ("{a,b}", "(p,q,r)") of two
+# different macro-states or pairs can coincide, and the constructions must
+# still name every state once.
+
+
+def test_determinize_names_comma_macro_states_apart():
+    a = comma_nfa()
+    d = determinize(a)
+    assert d.states == ("{s}", "{a,b}", "{a,b}1")
+    assert validate(d) == []
+    assert is_deterministic(d)
+    assert separating_word(d, a) is None
+
+
+def test_intersect_names_comma_pairs_apart():
+    binding = interval_binding()
+    x = Sfa(binding, ("p", "p,q"), "p", {"p,q"}, (Transition("p", ia(0, 10), "p,q"),))
+    y = Sfa(binding, ("q,r", "r"), "q,r", {"r"}, (Transition("q,r", ia(0, 10), "r"),))
+    c = product(x, y, ProductMode.INTERSECT)
+    assert c.states == ("(p,q,r)", "(p,q,r)1")
+    assert validate(c) == []
+    assert c.accepting == frozenset({"(p,q,r)1"})
+    assert combination_agrees(x, y, c, lambda u, v: u and v)
+
+
+def test_minimize_names_comma_blocks_apart():
+    binding = interval_binding()
+    a = Sfa(
+        binding,
+        ("a,b", "a", "b"),
+        "a,b",
+        {"a", "b"},
+        (
+            Transition("a,b", ia(NEG_INF, 10), "a"),
+            Transition("a,b", ia(10, POS_INF), "b"),
+            Transition("a", TRUE, "a"),
+            Transition("b", TRUE, "b"),
+        ),
+    )
+    m = minimize(a)
+    assert m.states == ("{a,b}", "{a,b}1")
+    assert validate(m) == []
+    assert separating_word(m, a) is None
+
+
+def test_comma_named_constructions_and_decisions_agree_with_oracle():
+    rng = random.Random(151)
+    for _ in range(300):
+        a, b = rand_comma_named_sfa(rng), rand_comma_named_sfa(rng)
+        d = determinize(a)
+        assert validate(d) == [] and is_deterministic(d)
+        assert separating_word(d, a, representatives(a, d)) is None
+        c = product(a, b, ProductMode.INTERSECT)
+        assert validate(c) == []
+        assert combination_agrees(a, b, c, lambda u, v: u and v)
+        assert includes(a, b) == oracle_subset(a, b, representatives(a, b))
