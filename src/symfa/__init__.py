@@ -4,7 +4,8 @@ Transitions carry predicates (half-open integer intervals, or monomials
 over k propositions) instead of concrete letters.  The package provides the
 structural forms (neat, normalized, feasible, deterministic, complete),
 the standard constructions (product, complement, determinize, minimize),
-decision procedures (membership, emptiness, inclusion, equivalence),
+decision procedures (membership, emptiness, inclusion, equivalence, and
+a shortest counterexample for the last two),
 canonical minimal forms over the interval algebra, a brute-force oracle for
 testing, a JSON file format, DOT export, and a CLI ("symfa").
 """
@@ -26,6 +27,7 @@ from .errors import (
 from .operations import (
     ProductMode,
     complement,
+    counterexample,
     determinize,
     equivalent,
     includes,

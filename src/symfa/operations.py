@@ -1,5 +1,6 @@
 """Standard constructions: product, complement, determinize, minimize,
-and the decision procedures emptiness, inclusion, equivalence.
+and the decision procedures emptiness, inclusion, equivalence, with
+counterexample, a shortest word two automata disagree on.
 
 Size discipline: product keeps one edge per synchronized transition pair,
 complement adds at most one state and (general path) one edge per state,
@@ -17,6 +18,12 @@ at most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
 each test after that is a merge of two interval lists or one AND of two
 truth tables.  A minimize round costs one join per state and target
 block, not one meet per pair of edges of two states.
+
+Inclusion and equivalence are decided on the fly and construct nothing:
+counterexample runs one breadth-first search over pairs of states or
+macro-states of the two inputs, reads a state's edges only when the
+search first steps from it, and stops at the first pair that answers the
+question.
 """
 
 from enum import Enum
@@ -165,7 +172,7 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         moves = [move for q in sorted(macro) for move in out[q]]
         for mask, x in _minterms(binding, moves, counters):
             if mask:
-                yield x, frozenset(m[0] for j, m in enumerate(reversed(moves)) if mask >> j & 1)
+                yield x, _targets(moves, mask)
 
     macros, edges = _explore(frozenset({a.initial}), step)
     names = _state_names(subset_name(s) for s in macros)
@@ -200,6 +207,12 @@ def _minterms(binding, moves, counters):
         stack.append((j + 1, binding.meet(cur, neg), mask))
         stack.append((j + 1, binding.meet(cur, den), mask | 1 << (n - 1 - j)))
     return results
+
+
+def _targets(moves, mask):
+    """The targets of the moves a _minterms mask takes (its low len(moves)
+    bits)."""
+    return frozenset(m[0] for j, m in enumerate(reversed(moves)) if mask >> j & 1)
 
 
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
@@ -322,23 +335,156 @@ def is_empty(a: Sfa, assume_feasible: bool = False, counters: OpCounters | None 
 
 
 def includes(a: Sfa, b: Sfa, counters: OpCounters | None = None) -> bool:
-    """L(a) ⊆ L(b), via emptiness of L(a) ∩ complement(L(b)).
+    """L(a) ⊆ L(b): no word is accepted by a and rejected by b.
 
-    b is determinized on demand, when complement's own determinism check
-    rejects it; a never is, since the product tolerates nondeterminism on
-    its left input.  The product prunes unsatisfiable edges, so the
-    emptiness check can take the feasible fast path.
+    counterexample's "subset" search, which builds no automaton: neither
+    input is completed, complemented or determinized, and the search stops
+    at the first pair of an a-state and a b macro-state that a accepts and
+    b rejects.
     """
-    counters = counters if counters is not None else OpCounters()
-    a.binding.check_same(b.binding)
-    try:
-        not_b = complement(b, counters)
-    except NondeterministicInput:
-        not_b = complement(determinize(b, counters), counters)
-    diff = product(a, not_b, ProductMode.INTERSECT, counters)
-    return is_empty(diff, assume_feasible=True, counters=counters)
+    return counterexample(a, b, "subset", counters) is None
 
 
 def equivalent(a: Sfa, b: Sfa, counters: OpCounters | None = None) -> bool:
-    """Mutual inclusion."""
-    return includes(a, b, counters) and includes(b, a, counters)
+    """L(a) = L(b): counterexample's "equal" search, which explores each
+    pair of macro-states once rather than running two inclusions."""
+    return counterexample(a, b, "equal", counters) is None
+
+
+def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | None = None):
+    """A shortest word that a and b classify differently, or None.
+
+    mode "equal" looks for a word in exactly one of L(a) and L(b); mode
+    "subset" for a word in L(a) but not in L(b), as oracle.separating_word
+    does.  One breadth-first search (_explore) runs over pairs of a left
+    key and a b macro-state and stops at the first bad pair.  For "subset"
+    the left key is one a-state, and a pair is bad when a accepts and b
+    does not; for "equal" it is an a macro-state, and a pair is bad when
+    exactly one side accepts.  Macro-states are sorted tuples of states;
+    the empty one is a side that is stuck, and rejects from then on.
+
+    Each edge is denoted once per call, when the search first steps from
+    its state.  When every side a pair splits is the empty macro-state or
+    one state whose edges are pairwise disjoint (one overlap test per
+    state), the pair's successors cost one meet per pair of edges,
+    counting the right state's residual (the letters it has no edge for,
+    joined once per state) as one more edge, and no meet for a target pair
+    already found.  The left side of "subset" is never split: each a-edge
+    leads to its own pair.  Any other pair runs one _minterms search over
+    the moves of both sides, its mask split into the two target sets.
+    Every pair keeps only its first parent and the label that reached it,
+    so the witnesses of the labels on the path to the first bad pair form
+    a shortest word.
+    """
+    if mode not in ("subset", "equal"):
+        raise ValueError(f"mode must be 'subset' or 'equal', got {mode!r}")
+    counters = counters if counters is not None else OpCounters()
+    a.binding.check_same(b.binding)
+    binding = a.binding
+    meet = binding.meet
+    equal = mode == "equal"
+    left = _Side(a, counters)
+    right = left if b is a else _Side(b, counters)
+    start = ((a.initial,), (b.initial,))
+    seen = {start}
+
+    def bad(pair):
+        in_a = not a.accepting.isdisjoint(pair[0])
+        in_b = not b.accepting.isdisjoint(pair[1])
+        return in_a != in_b if equal else in_a and not in_b
+
+    def step(pair):
+        x, y = pair
+        lefts = left.fast(x) if equal else left.edges(*x)
+        rights = right.fast(y)
+        if lefts is not None and rights is not None:
+            for x2, d in lefts:
+                for y2, e in rights:
+                    target = (x2, y2)
+                    if (x2 or y2) and target not in seen:
+                        counters.sat_calls += 1
+                        counters.conj_built += 1
+                        m = meet(d, e)
+                        if m:
+                            seen.add(target)
+                            yield m, target
+            return
+        lm = [move for q in x for move in left.moves(q)]
+        rm = [move for q in y for move in right.moves(q)]
+        for mask, m in _minterms(binding, lm + rm, counters):
+            y2 = tuple(sorted(_targets(rm, mask)))
+            xs = tuple(sorted(_targets(lm, mask >> len(rm))))
+            for x2 in (xs,) if equal else map(left.single, xs):
+                target = (x2, y2)
+                if (x2 or y2) and target not in seen:
+                    seen.add(target)
+                    yield m, target
+
+    keys, edges = _explore(start, step, bad)
+    if not bad(keys[-1]):
+        return None
+    word = []
+    j = len(keys) - 1
+    while j:  # the step yields new pairs only, so edges[j - 1] found pair j
+        i, label, _ = edges[j - 1]
+        word.append(binding.witness(label))
+        j = i
+    return word[::-1]
+
+
+class _Side:
+    """One input of a counterexample search, read on demand.
+
+    Caches live as long as the search: each state's edges are denoted the
+    first time the search steps from it.
+    """
+
+    def __init__(self, a: Sfa, counters: OpCounters):
+        self.binding = a.binding
+        self.counters = counters
+        self.out = a.out_map()
+        self._single = {}
+        self._edges = {}
+        self._moves = {}
+        self._fast = {(): [((), a.binding.full)]}
+
+    def single(self, q):
+        """The macro-state (q,), one tuple per state."""
+        return self._single.setdefault(q, (q,))
+
+    def edges(self, q):
+        """q's edges as (singleton target macro-state, denotation)."""
+        es = self._edges.get(q)
+        if es is None:
+            denote = self.binding.denote
+            es = self._edges[q] = [(self.single(t.dst), denote(t.pred)) for t in self.out[q]]
+        return es
+
+    def moves(self, q):
+        """q's edges as the (target, denotation, complement) triples of
+        _minterms."""
+        ms = self._moves.get(q)
+        if ms is None:
+            complement = self.binding.complement
+            ms = self._moves[q] = [
+                (t.dst, d, complement(d)) for t, (_, d) in zip(self.out[q], self.edges(q))
+            ]
+        return ms
+
+    def fast(self, macro):
+        """The empty macro-state's lone move (every letter, to itself), or a
+        lone state's edges plus its residual to the empty macro-state when
+        they are pairwise disjoint; None otherwise."""
+        fast = self._fast
+        if macro not in fast:
+            fast[macro] = None
+            if len(macro) == 1:
+                es = self.edges(*macro)
+                ds = [d for _, d in es]
+                if len(ds) > 1:
+                    self.counters.sat_calls += 1
+                if len(ds) < 2 or not self.binding.overlapping(ds):
+                    self.counters.disj_built += max(0, len(ds) - 1)
+                    residual = self.binding.complement(self.binding.join(ds))
+                    fast[macro] = es + [((), residual)]
+        return fast[macro]

@@ -4,10 +4,14 @@ Any automaton restricted to a finite alphabet is an ordinary DFA, built here
 by subset construction with explicit letters.  Language questions are then
 classical: product reachability for equality and inclusion, breadth-first
 search for separating words, partition refinement for distinguishable-state
-counts.  For the interval algebra a window covering every predicate endpoint
-plus a margin of 2 is faithful: each residual segment of the line gets at
-least one representative letter, so agreement over the window implies
-agreement over all integers (tests only draw endpoints inside the window).
+counts.  For the interval algebra two alphabets are faithful: the dense
+window covering every predicate endpoint plus a margin of 2, and
+representatives, one letter per segment the endpoints cut the line into.
+Predicates are constant on each segment, so agreement over either implies
+agreement over all integers.  The language comparisons (separating_word,
+oracle_equal, oracle_subset, oracle_empty) default to representatives,
+whose size does not grow with the endpoints' span; concretize defaults to
+the dense window, from which tests draw member words.
 """
 
 from collections import deque
@@ -123,12 +127,13 @@ def separating_word(a: Sfa, b: Sfa, alphabet=None, mode: str = "equal"):
     """Shortest word the two automata classify differently, or None.
 
     mode "equal" looks for any disagreement; mode "subset" for a word in
-    L(a) but not in L(b).  Exact over the alphabet: breadth-first search on
-    the product DFA visits every reachable pair.
+    L(a) but not in L(b).  Exact over the alphabet (by default
+    representatives(a, b)): breadth-first search on the product DFA visits
+    every reachable pair.
     """
     a.binding.check_same(b.binding)
     if alphabet is None:
-        alphabet = default_alphabet(a, b)
+        alphabet = representatives(a, b)
     da = concretize(a, alphabet)
     db = concretize(b, alphabet)
     start = (da.initial, db.initial)
@@ -157,7 +162,7 @@ def oracle_subset(a: Sfa, b: Sfa, alphabet=None) -> bool:
 
 
 def oracle_empty(a: Sfa, alphabet=None) -> bool:
-    dfa = concretize(a, alphabet)
+    dfa = concretize(a, representatives(a) if alphabet is None else alphabet)
     return not dfa.accepting
 
 

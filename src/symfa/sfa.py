@@ -194,22 +194,29 @@ def reachable_states(a: Sfa) -> set:
     return set(states)
 
 
-def _explore(start, step):
+def _explore(start, step, stop=None):
     """Breadth-first closure of start under step.
 
     step(key) yields (label, target key) pairs, keys being hashable.
     Returns the keys in discovery order, start first, and every yielded
-    edge as (source index, label, target index), in yield order.
+    edge as (source index, label, target index), in yield order.  With
+    stop, the walk ends at the first key, start included, for which
+    stop(key) holds: that key is then the last key returned, and the edge
+    that found it the last edge.
     """
     index = {start: 0}
     keys = [start]
     edges = []
+    if stop is not None and stop(start):
+        return keys, edges
     for i, key in enumerate(keys):  # keys grows while it is walked
         for label, target in step(key):
             j = index.setdefault(target, len(keys))
+            edges.append((i, label, j))
             if j == len(keys):
                 keys.append(target)
-            edges.append((i, label, j))
+                if stop is not None and stop(target):
+                    return keys, edges
     return keys, edges
 
 

@@ -9,7 +9,7 @@ determinism holds by construction and completeness is a switch.
 
 import random
 
-from symfa.oracle import concretize, default_alphabet
+from symfa.oracle import concretize, representatives
 from symfa import (
     And,
     Atom,
@@ -17,15 +17,21 @@ from symfa import (
     IntervalAtom,
     LiteralAtom,
     NEG_INF,
+    NondeterministicInput,
     Not,
     Or,
     POS_INF,
+    ProductMode,
     Sfa,
     TRUE,
     Transition,
+    complement,
+    determinize,
     interval_binding,
+    is_empty,
     mk_and,
     mk_or,
+    product,
     propositional_binding,
 )
 from symfa.propositional import all_valuations, disjoint_monomials, monomial_to_pred
@@ -339,12 +345,13 @@ def random_word(rng: random.Random, alphabet, max_len=4):
 def combination_agrees(a: Sfa, b: Sfa, combined: Sfa, want) -> bool:
     """Does L(combined) equal want(L(a), L(b)) letter-for-letter?
 
-    Exhaustive over the shared endpoint window: breadth-first search of the
+    Exhaustive over one letter per segment of the three automata's
+    endpoints (oracle.representatives): breadth-first search of the
     three-way product DFA visits every reachable acceptance combination, so
-    a True answer is exact (combined predicates only reuse a's and b's
-    endpoints).  want is a boolean combiner such as `lambda x, y: x and y`.
+    a True answer is exact.  want is a boolean combiner such as
+    `lambda x, y: x and y`.
     """
-    alphabet = default_alphabet(a, b, combined)
+    alphabet = representatives(a, b, combined)
     da = concretize(a, alphabet)
     db = concretize(b, alphabet)
     dc = concretize(combined, alphabet)
@@ -361,6 +368,17 @@ def combination_agrees(a: Sfa, b: Sfa, combined: Sfa, want) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def includes_by_product(a: Sfa, b: Sfa) -> bool:
+    """Reference L(a) ⊆ L(b): emptiness of L(a) ∩ complement(L(b)), built
+    in full.  b is determinized first when complement rejects it; the
+    product prunes unsatisfiable edges, so emptiness needs no sat calls."""
+    try:
+        not_b = complement(b)
+    except NondeterministicInput:
+        not_b = complement(determinize(b))
+    return is_empty(product(a, not_b, ProductMode.INTERSECT), assume_feasible=True)
 
 
 COMMA_NAMES = ("a", "b", "a,b", "p", "p,q", "q", "q,r", "r")

@@ -1,0 +1,211 @@
+"""includes, equivalent and counterexample: one breadth-first pair search.
+
+The references are genlib.includes_by_product (complement, product and
+emptiness, built in full) and oracle.separating_word (explicit DFAs over
+one letter per endpoint segment).  Counterexamples are checked with
+membership and must be as short as the oracle's.
+"""
+
+import gc
+import random
+from collections import Counter
+
+import pytest
+
+from symfa import (
+    BindingMismatch,
+    OpCounters,
+    ProductMode,
+    complete,
+    counterexample,
+    equivalent,
+    includes,
+    interval_binding,
+    membership,
+    product,
+    propositional_binding,
+)
+from symfa import operations
+from symfa.algebra import AlgebraBinding
+from symfa.oracle import separating_word
+from genlib import (
+    add_unsat_edge,
+    includes_by_product,
+    rand_comma_named_sfa,
+    rand_det_interval_sfa,
+    rand_det_prop_sfa,
+    rand_neat_interval_sfa,
+    rand_neat_prop_sfa,
+    rand_sfa,
+    rewrite,
+)
+
+PROPS = propositional_binding(["p1", "p2", "p3"])
+
+
+def interval_input(rng):
+    """An NFA, a deterministic automaton (complete or not, neat or not), a
+    neat NFA or a comma-named NFA; one in five gets an unsatisfiable edge."""
+    r = rng.random()
+    if r < 0.3:
+        a = rand_sfa(rng, interval_binding(), n_max=4, m_max=3, pred_size=3)
+    elif r < 0.55:
+        a = rand_det_interval_sfa(rng, complete=rng.random() < 0.5, neat=rng.random() < 0.5)
+    elif r < 0.75:
+        a = rand_neat_interval_sfa(rng)
+    else:
+        a = rand_comma_named_sfa(rng)
+    return add_unsat_edge(rng, a) if rng.random() < 0.2 else a
+
+
+def prop_input(rng):
+    """An NFA, a deterministic automaton (complete or not) or a neat NFA
+    over three propositions; one in five gets an unsatisfiable edge."""
+    r = rng.random()
+    if r < 0.4:
+        a = rand_sfa(rng, PROPS, n_max=4, m_max=3, pred_size=3)
+    elif r < 0.75:
+        a = rand_det_prop_sfa(rng, k=3, complete=rng.random() < 0.5)
+    else:
+        a = rand_neat_prop_sfa(rng, k=3)
+    return add_unsat_edge(rng, a) if rng.random() < 0.2 else a
+
+
+def input_pairs(rng, make, count):
+    """count pairs; about a third are an input and a rewrite of it (equal
+    languages), in either order."""
+    for _ in range(count):
+        a = make(rng)
+        b = rewrite(rng, a, rounds=2) if rng.random() < 0.35 else make(rng)
+        yield (a, b) if rng.random() < 0.5 else (b, a)
+
+
+@pytest.mark.parametrize(
+    "make, seed", [(interval_input, 211), (prop_input, 223)], ids=["interval", "propositional"]
+)
+def test_search_agrees_with_product_reference_and_oracle(make, seed):
+    rng = random.Random(seed)
+    verdicts = Counter()
+    for a, b in input_pairs(rng, make, 300):
+        for x, y in ((a, b), (b, a)):
+            want = separating_word(x, y, mode="subset")
+            w = counterexample(x, y, "subset")
+            assert includes(x, y) == includes_by_product(x, y) == (want is None) == (w is None)
+            if w is not None:
+                assert membership(x, w) and not membership(y, w)
+                assert len(w) == len(want)
+        want = separating_word(a, b)
+        assert equivalent(a, b) == (want is None)
+        assert equivalent(a, b) == (includes_by_product(a, b) and includes_by_product(b, a))
+        for x, y in ((a, b), (b, a)):
+            w = counterexample(x, y, "equal")
+            assert (w is None) == (want is None)
+            if w is not None:
+                assert membership(x, w) != membership(y, w)
+                assert len(w) == len(want)
+        verdicts[want is None, len(want or ())] += 1
+    assert sum(n for (eq, _), n in verdicts.items() if eq) >= 60
+    assert {length for eq, length in verdicts if not eq} >= {0, 1, 2}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("decisions build no automaton")
+
+
+def test_each_edge_is_denoted_at_most_once_per_call(monkeypatch):
+    calls = Counter()
+    denote = AlgebraBinding.denote
+
+    def counting(self, p):
+        calls[id(p)] += 1
+        return denote(self, p)
+
+    monkeypatch.setattr(AlgebraBinding, "denote", counting)
+    for name in ("complement", "product", "determinize", "is_empty", "is_deterministic"):
+        monkeypatch.setattr(operations, name, refuse)
+    rng = random.Random(227)
+    for i in range(200):
+        make = interval_input if i % 2 else prop_input
+        a, b = make(rng), make(rng)
+        runs = (
+            (lambda: includes(a, b), a.transitions + b.transitions),
+            (lambda: equivalent(a, b), a.transitions + b.transitions),
+            (lambda: counterexample(b, a), a.transitions + b.transitions),
+            (lambda: equivalent(a, a), a.transitions),
+        )
+        for run, edges in runs:
+            calls.clear()
+            run()
+            allowed = Counter(id(t.pred) for t in edges)
+            assert all(n <= allowed[p] for p, n in calls.items())
+
+
+def pair_bound(a, b, left_stuck):
+    """Sum over the pairs of a × b that the search can reach of
+    (out-degree in a, + 1 when a can be stuck) × (out-degree in b + 1),
+    plus one overlap test per state that has two edges or more.
+
+    The reachable pairs are the states of the product of the completed
+    inputs (a stuck side is at the completion's sink).  The pair where both
+    sides are stuck is never explored.
+    """
+    degree = Counter(t.src for t in a.transitions + b.transitions)
+    left = complete(a) if left_stuck else a
+    pairs = product(left, complete(b), ProductMode.INTERSECT).states
+    total = 0
+    for name in pairs:
+        p, q = name[1:-1].split(",")
+        if p in a.states or q in b.states:
+            total += (degree[p] + left_stuck) * (degree[q] + 1)
+    return total + sum(1 for q in a.states + b.states if degree[q] > 1)
+
+
+def test_deterministic_decisions_stay_within_the_pair_bound():
+    rng = random.Random(229)
+    for i in range(200):
+        if i % 2:
+            a = rand_det_interval_sfa(rng, complete=rng.random() < 0.5, neat=rng.random() < 0.5)
+            b = rand_det_interval_sfa(rng, complete=rng.random() < 0.5)
+        else:
+            a = rand_det_prop_sfa(rng, k=3, complete=rng.random() < 0.5)
+            b = rand_det_prop_sfa(rng, k=3, complete=rng.random() < 0.5)
+        if rng.random() < 0.3:
+            b = rewrite(rng, a, rounds=2)
+        c = OpCounters()
+        includes(a, b, c)
+        assert c.sat_calls <= pair_bound(a, b, left_stuck=False)
+        c = OpCounters()
+        equivalent(a, b, c)
+        assert c.sat_calls <= pair_bound(a, b, left_stuck=True)
+
+
+def test_self_equivalence_at_k12_stays_under_20000_sat_calls():
+    binding = propositional_binding([f"p{i + 1}" for i in range(12)])
+    a = rand_sfa(random.Random(12), binding, n_max=4, m_max=3, pred_size=6)
+    c = OpCounters()
+    assert equivalent(a, a, c)
+    assert c.sat_calls < 20_000
+
+
+def test_counterexample_checks_its_arguments():
+    rng = random.Random(233)
+    a = interval_input(rng)
+    with pytest.raises(ValueError):
+        counterexample(a, a, mode="superset")
+    with pytest.raises(BindingMismatch):
+        counterexample(a, prop_input(rng))
+
+
+def test_decisions_leave_no_cyclic_garbage():
+    rng = random.Random(239)
+    pairs = [(make(rng), make(rng)) for make in (interval_input, prop_input) * 50]
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b in pairs:
+            includes(a, b)
+            equivalent(a, b)
+            counterexample(b, a, "subset")
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -83,7 +83,7 @@ def test_representatives_agree_with_dense_window():
     for _ in range(40):
         a = rand_sfa(rng, interval_binding(), n_max=3, m_max=3, pred_size=3)
         b = rand_sfa(rng, interval_binding(), n_max=3, m_max=3, pred_size=3)
-        dense = oracle_equal(a, b)
+        dense = oracle_equal(a, b, default_alphabet(a, b))
         sparse = oracle_equal(a, b, representatives(a, b))
         assert dense == sparse
 
