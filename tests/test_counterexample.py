@@ -3,10 +3,17 @@
 The references are genlib.includes_by_product (complement, product and
 emptiness, built in full) and oracle.separating_word (explicit DFAs over
 one letter per endpoint segment).  Counterexamples are checked with
-membership and must be as short as the oracle's.
+membership and must be as short as the oracle's.  The words themselves
+are pinned by SHA-256 digests in data/golden_counterexample.json; regenerate
+them only when the search is meant to return other words:
+
+    PYTHONPATH=src python tests/test_counterexample.py
 """
 
 import gc
+import hashlib
+import json
+import pathlib
 import random
 from collections import Counter
 
@@ -41,6 +48,7 @@ from genlib import (
 )
 
 PROPS = propositional_binding(["p1", "p2", "p3"])
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_counterexample.json"
 
 
 def interval_input(rng):
@@ -69,6 +77,14 @@ def prop_input(rng):
     else:
         a = rand_neat_prop_sfa(rng, k=3)
     return add_unsat_edge(rng, a) if rng.random() < 0.2 else a
+
+
+def wide_interval_input(rng):
+    """A deterministic automaton with up to 8 states and up to 11 edges per
+    state, complete or not, neat or not."""
+    return rand_det_interval_sfa(
+        rng, n_max=8, max_cuts=10, complete=rng.random() < 0.5, neat=rng.random() < 0.5
+    )
 
 
 def input_pairs(rng, make, count):
@@ -209,3 +225,42 @@ def test_decisions_leave_no_cyclic_garbage():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def golden_words():
+    """case id -> JSON text of one seeded pair's four counterexamples:
+    "subset" and "equal", each in both argument orders."""
+    out = {}
+    families = (
+        ("interval", interval_input, 320),
+        ("interval-wide", wide_interval_input, 100),
+        ("propositional", prop_input, 320),
+    )
+    for family, make, count in families:
+        rng = random.Random(f"golden-counterexample/{family}")
+        for i, (a, b) in enumerate(input_pairs(rng, make, count)):
+            words = [
+                counterexample(x, y, mode)
+                for mode in ("subset", "equal")
+                for x, y in ((a, b), (b, a))
+            ]
+            out[f"{family}/{i}"] = json.dumps(words)
+    return out
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_counterexamples_reproduce_golden_words():
+    want = json.loads(GOLDEN.read_text())
+    got = {case: _digest(text) for case, text in golden_words().items()}
+    assert set(got) == set(want)
+    changed = sorted(case for case in want if got[case] != want[case])
+    assert not changed, f"words differ from the recorded ones: {changed}"
+
+
+if __name__ == "__main__":
+    digests = {case: _digest(text) for case, text in golden_words().items()}
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
