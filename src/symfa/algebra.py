@@ -11,7 +11,10 @@ propositional.mask_of.  Both are falsy exactly when empty, and the binding
 combines them with meet/join/complement and picks a letter from one with
 witness, so constructions denote every transition once and decide
 emptiness, overlap and coverage on the results instead of building and
-re-walking predicate trees.
+re-walking predicate trees.  splitter readies one state's pairwise
+disjoint edges to be met with another state's edges in one pass: an
+endpoint sweep over atoms sorted once per state for intervals, one AND
+per pair of edges for truth tables.
 """
 
 from dataclasses import dataclass, field
@@ -191,6 +194,24 @@ class AlgebraBinding:
                 return True
             acc |= x
         return False
+
+    def splitter(self, edges, rest):
+        """A state's (target, solved form) edges, ready to be split against,
+        or None when two of them share a letter (exactly when overlapping
+        holds of their solved forms).
+
+        The result's edges are the input plus, when they leave letters out,
+        one residual edge to rest; its split(lefts) yields the non-empty
+        meets of the (target, solved form) edges lefts (which may overlap)
+        with those edges, as (left target, target, meet), in (left edge,
+        edge) order, each meet equal to meet(d, e).  Intervals sort the
+        state's atoms once, which serves the overlap test, the residual and
+        an index that split sweeps with one bisection per left atom; truth
+        tables test overlap by OR and split with one AND per pair of edges.
+        """
+        if self.kind == INTERVAL:
+            return intervals.Splitter.of(edges, rest)
+        return propositional.Splitter.of(edges, self.k, rest)
 
     def basic_preds(self, x) -> list:
         """Pairwise disjoint basic predicates whose union denotes x: one

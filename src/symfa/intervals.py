@@ -9,6 +9,9 @@ intervals denoting it (adjacent intervals merged), and two predicates are
 equivalent iff their canonical forms are structurally equal.
 """
 
+from bisect import bisect_right
+from operator import attrgetter
+
 from .predicates import (
     FULL_INTERVAL,
     NEG_INF,
@@ -89,6 +92,78 @@ def any_overlap(dnfs) -> bool:
         if lo < hi:
             return True
     return False
+
+
+_lo = attrgetter("lo")
+
+
+class Splitter:
+    """One state's pairwise disjoint edges, tiled over the line for sweeps.
+
+    of() sorts the state's atoms once by start.  That one sort tests the
+    edges for overlap (neighbours only), reads the residual off the gaps
+    between atoms (no union, no complement), and leaves the index that
+    split bisects into: atoms and the gaps between them tile the line in
+    order, and owners holds each tile's edge number, a gap's being the
+    residual edge's.  edges is the input plus, when the edges leave
+    letters out, that residual edge (rest, gaps).
+    """
+
+    __slots__ = ("edges", "atoms", "owners")
+
+    @classmethod
+    def of(cls, edges, rest):
+        """A splitter for (target, canonical list) edges whose missing
+        letters lead to rest, or None when two edges share a letter."""
+        spans = sorted([(a.lo, j, a) for j, (_, d) in enumerate(edges) for a in d])
+        gap = len(edges)
+        tiles = []
+        cursor = NEG_INF
+        for lo, j, a in spans:
+            if lo < cursor:
+                return None
+            if cursor < lo:
+                tiles.append((gap, IntervalAtom(cursor, lo)))
+            tiles.append((j, a))
+            cursor = a.hi
+        if cursor < POS_INF:
+            tiles.append((gap, IntervalAtom(cursor, POS_INF)))
+        gaps = tuple(a for j, a in tiles if j == gap)
+        self = cls()
+        self.edges = tuple(edges) + (((rest, gaps),) if gaps else ())
+        self.owners, self.atoms = zip(*tiles)
+        return self
+
+    def split(self, lefts):
+        """The non-empty meets of (target, canonical list) edges lefts with
+        these edges, as (left target, target, meet), ordered by left edge,
+        then by edge.
+
+        Each left atom finds its first tile by bisection and walks the
+        tiles it covers; each step yields one piece, so the cost is
+        O(A log B) for A left atoms and B tiles plus one step per piece.
+        The pieces of a left edge and one of these edges are sorted and
+        pairwise separated, hence their meet as intersect_dnf builds it; a
+        piece equal to a whole atom reuses that atom.
+        """
+        atoms, owners, edges = self.atoms, self.owners, self.edges
+        for x, d in lefts:
+            groups = {}
+            for a in d:
+                lo, hi = a.lo, a.hi
+                k = bisect_right(atoms, lo, key=_lo) - 1
+                while True:
+                    b = atoms[k]
+                    if b.lo <= lo:
+                        piece = a if hi <= b.hi else IntervalAtom(lo, b.hi)
+                    else:
+                        piece = b if b.hi <= hi else IntervalAtom(b.lo, hi)
+                    groups.setdefault(owners[k], []).append(piece)
+                    if hi <= b.hi:
+                        break
+                    k += 1
+            for j in sorted(groups):
+                yield x, edges[j][0], tuple(groups[j])
 
 
 def to_dnf(p: Predicate) -> IntervalDnf:

@@ -23,7 +23,9 @@ Inclusion and equivalence are decided on the fly and construct nothing:
 counterexample runs one breadth-first search over pairs of states or
 macro-states of the two inputs, reads a state's edges only when the
 search first steps from it, and stops at the first pair that answers the
-question.
+question.  Two states with disjoint edges split in one pass
+(AlgebraBinding.splitter): for intervals an endpoint sweep, not one meet
+per pair of edges.
 """
 
 from enum import Enum
@@ -366,22 +368,24 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
     Each edge is denoted once per call, when the search first steps from
     its state.  When every side a pair splits is the empty macro-state or
     one state whose edges are pairwise disjoint (one overlap test per
-    state), the pair's successors cost one meet per pair of edges,
-    counting the right state's residual (the letters it has no edge for,
-    joined once per state) as one more edge, and no meet for a target pair
-    already found.  The left side of "subset" is never split: each a-edge
-    leads to its own pair.  Any other pair runs one _minterms search over
-    the moves of both sides, its mask split into the two target sets.
-    Every pair keeps only its first parent and the label that reached it,
-    so the witnesses of the labels on the path to the first bad pair form
-    a shortest word.
+    state; see _Side.fast), the right state's splitter splits the left
+    edges against its own, its residual (the letters it has no edge for)
+    counting as one more edge.  For intervals that is a sweep: one
+    bisection per left atom into the right state's atoms, sorted once per
+    state, and one step per piece; for truth tables one AND per pair of
+    edges.  Each non-empty meet counts one sat call and one conjunction
+    built, and no join is made.  The left side of "subset" is never split:
+    each a-edge leads to its own pair.  Any other pair runs one _minterms
+    search over the moves of both sides, its mask split into the two
+    target sets.  Every pair keeps only its first parent and the label
+    that reached it, so the witnesses of the labels on the path to the
+    first bad pair form a shortest word.
     """
     if mode not in ("subset", "equal"):
         raise ValueError(f"mode must be 'subset' or 'equal', got {mode!r}")
     counters = counters if counters is not None else OpCounters()
     a.binding.check_same(b.binding)
     binding = a.binding
-    meet = binding.meet
     equal = mode == "equal"
     left = _Side(a, counters)
     right = left if b is a else _Side(b, counters)
@@ -398,16 +402,13 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
         lefts = left.fast(x) if equal else left.edges(*x)
         rights = right.fast(y)
         if lefts is not None and rights is not None:
-            for x2, d in lefts:
-                for y2, e in rights:
-                    target = (x2, y2)
-                    if (x2 or y2) and target not in seen:
-                        counters.sat_calls += 1
-                        counters.conj_built += 1
-                        m = meet(d, e)
-                        if m:
-                            seen.add(target)
-                            yield m, target
+            for x2, y2, m in rights.split(lefts.edges if equal else lefts):
+                counters.sat_calls += 1
+                counters.conj_built += 1
+                target = (x2, y2)
+                if (x2 or y2) and target not in seen:
+                    seen.add(target)
+                    yield m, target
             return
         lm = [move for q in x for move in left.moves(q)]
         rm = [move for q in y for move in right.moves(q)]
@@ -446,7 +447,7 @@ class _Side:
         self._single = {}
         self._edges = {}
         self._moves = {}
-        self._fast = {(): [((), a.binding.full)]}
+        self._fast = {(): a.binding.splitter((), ())}
 
     def single(self, q):
         """The macro-state (q,), one tuple per state."""
@@ -456,8 +457,8 @@ class _Side:
         """q's edges as (singleton target macro-state, denotation)."""
         es = self._edges.get(q)
         if es is None:
-            denote = self.binding.denote
-            es = self._edges[q] = [(self.single(t.dst), denote(t.pred)) for t in self.out[q]]
+            denote, single = self.binding.denote, self.single
+            es = self._edges[q] = tuple([(single(t.dst), denote(t.pred)) for t in self.out[q]])
         return es
 
     def moves(self, q):
@@ -472,19 +473,17 @@ class _Side:
         return ms
 
     def fast(self, macro):
-        """The empty macro-state's lone move (every letter, to itself), or a
-        lone state's edges plus its residual to the empty macro-state when
-        they are pairwise disjoint; None otherwise."""
+        """The splitter (AlgebraBinding.splitter) of the empty macro-state,
+        whose lone edge takes every letter back to itself, or of a lone
+        state whose edges are pairwise disjoint, its residual leading to
+        the empty macro-state; None otherwise.  A state with two edges or
+        more costs one overlap test, counted as a sat call."""
         fast = self._fast
         if macro not in fast:
             fast[macro] = None
             if len(macro) == 1:
                 es = self.edges(*macro)
-                ds = [d for _, d in es]
-                if len(ds) > 1:
+                if len(es) > 1:
                     self.counters.sat_calls += 1
-                if len(ds) < 2 or not self.binding.overlapping(ds):
-                    self.counters.disj_built += max(0, len(ds) - 1)
-                    residual = self.binding.complement(self.binding.join(ds))
-                    fast[macro] = es + [((), residual)]
+                fast[macro] = self.binding.splitter(es, ())
         return fast[macro]

@@ -178,6 +178,43 @@ def _mask(p: Predicate, k: int, full: int) -> int:
     raise TypeError(f"not a predicate: {p!r}")
 
 
+class Splitter:
+    """One state's pairwise disjoint edges, as truth tables.
+
+    of() ORs the tables in edge order, testing each against the OR of the
+    ones before it, and takes the residual as the bits the OR leaves out.
+    edges is the input plus, when that residual is not empty, the residual
+    edge (rest, residual).
+    """
+
+    __slots__ = ("edges",)
+
+    @classmethod
+    def of(cls, edges, k, rest):
+        """A splitter for (target, truth table) edges whose missing letters
+        lead to rest, or None when two edges share a letter."""
+        acc = 0
+        for _, d in edges:
+            if acc & d:
+                return None
+            acc |= d
+        residual = full_mask(k) ^ acc
+        self = cls()
+        self.edges = tuple(edges) + (((rest, residual),) if residual else ())
+        return self
+
+    def split(self, lefts):
+        """The non-empty meets of (target, truth table) edges lefts with
+        these edges, as (left target, target, meet), ordered by left edge,
+        then by edge: one AND per pair of edges."""
+        edges = self.edges
+        for x, d in lefts:
+            for y, e in edges:
+                m = d & e
+                if m:
+                    yield x, y, m
+
+
 def disjoint_monomials(mask: int, k: int):
     """Cover a truth table by pairwise disjoint monomials.
 

@@ -188,6 +188,20 @@ def rand_det_interval_sfa(
     return Sfa(interval_binding(), states, states[0], _accepting(rng, states), tuple(edges))
 
 
+def cut_interval_dfa(rng: random.Random, n: int, cuts=4) -> Sfa:
+    """Complete deterministic neat automaton of n states, shaped like the
+    benchmark's interval inputs: per state, `cuts` distinct cut points in
+    [-12, 12) split the line into cuts + 1 single-atom edges to random
+    targets."""
+    states = _states(n)
+    edges = []
+    for q in states:
+        bounds = [NEG_INF] + sorted(rng.sample(range(-12, 12), cuts)) + [POS_INF]
+        for lo, hi in zip(bounds, bounds[1:]):
+            edges.append(Transition(q, Atom(IntervalAtom(lo, hi)), rng.choice(states)))
+    return Sfa(interval_binding(), states, states[0], _accepting(rng, states), tuple(edges))
+
+
 def rand_det_prop_sfa(rng: random.Random, k=3, n_max=4, complete=True) -> Sfa:
     """Deterministic propositional automaton from a valuation partition."""
     binding = propositional_binding([f"p{i + 1}" for i in range(k)])

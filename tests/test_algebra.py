@@ -7,9 +7,11 @@ from symfa import (
     Atom,
     IntervalAtom,
     LiteralAtom,
+    NEG_INF,
     Not,
     OpCounters,
     Or,
+    POS_INF,
     UnsupportedAlgebra,
     interval_binding,
     mk_and,
@@ -152,3 +154,77 @@ def test_eval_respects_connective_semantics():
         assert b.evaluate(And((p, q)), x) == (b.evaluate(p, x) and b.evaluate(q, x))
         assert b.evaluate(Or((p, q)), x) == (b.evaluate(p, x) or b.evaluate(q, x))
         assert b.evaluate(Not(p), x) == (not b.evaluate(p, x))
+
+
+def _disjoint_interval_edges(rng, b, m):
+    """m edges whose denotations split a random cut of the line: touching
+    segments of one edge merge, an edge may get none (empty denotation),
+    and some segments go to no edge at all."""
+    cuts = sorted(rng.sample(range(-6, 7), rng.randint(0, 8)))
+    bounds = [NEG_INF] + cuts + [POS_INF]
+    owned = [[] for _ in range(m)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        j = rng.randrange(m + 1)
+        if j < m:
+            owned[j].append(IntervalAtom(lo, hi))
+    return [b.join([(a,) for a in atoms]) for atoms in owned]
+
+
+def _disjoint_tables(rng, k, m):
+    """m truth tables that split a random subset of the 2^k valuations."""
+    owned = [0] * (m + 1)
+    for i in range(1 << k):
+        owned[rng.randrange(m + 1)] |= 1 << i
+    return owned[:m]
+
+
+def _check_splitter(b, lefts, rights):
+    """binding.splitter against the pairwise meets of lefts with rights plus
+    the residual edge."""
+    ds = [d for _, d in rights]
+    s = b.splitter(rights, "rest")
+    assert (s is None) == b.overlapping(ds)
+    if s is None:
+        return False
+    residual = b.complement(b.join(ds))
+    edges = list(rights) + ([("rest", residual)] if residual else [])
+    assert s.edges == tuple(edges)
+    want = [(x, y, b.meet(d, e)) for x, d in lefts for y, e in edges if b.meet(d, e)]
+    assert list(s.split(lefts)) == want
+    return True
+
+
+def test_interval_splitter_agrees_with_pairwise_meets():
+    rng = random.Random(41)
+    b = interval_binding()
+    split = 0
+    for _ in range(800):
+        # left edges may overlap, as an NFA state's do
+        lefts = [
+            (f"x{i}", b.denote(rand_interval_pred(rng, rng.randint(1, 6))))
+            for i in range(rng.randint(0, 5))
+        ]
+        m = rng.randint(0, 5)
+        if rng.random() < 0.3:
+            ds = [b.denote(rand_interval_pred(rng, rng.randint(1, 4))) for _ in range(m)]
+        else:
+            ds = _disjoint_interval_edges(rng, b, m)
+        split += _check_splitter(b, lefts, [(f"y{j}", d) for j, d in enumerate(ds)])
+    assert split > 500
+
+
+def test_truth_table_splitter_agrees_with_pairwise_meets():
+    rng = random.Random(43)
+    split = 0
+    for k in range(1, 7):
+        pb = propositional_binding([f"p{i + 1}" for i in range(k)])
+        full = pb.full
+        for _ in range(150):
+            lefts = [(f"x{i}", rng.randint(0, full)) for i in range(rng.randint(0, 4))]
+            m = rng.randint(0, 4)
+            if rng.random() < 0.3:
+                ds = [rng.randint(0, full) for _ in range(m)]
+            else:
+                ds = _disjoint_tables(rng, k, m)
+            split += _check_splitter(pb, lefts, [(f"y{j}", d) for j, d in enumerate(ds)])
+    assert split > 600

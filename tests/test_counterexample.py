@@ -23,6 +23,7 @@ from symfa import (
     BindingMismatch,
     OpCounters,
     ProductMode,
+    Sfa,
     complete,
     counterexample,
     equivalent,
@@ -37,6 +38,7 @@ from symfa.algebra import AlgebraBinding
 from symfa.oracle import separating_word
 from genlib import (
     add_unsat_edge,
+    cut_interval_dfa,
     includes_by_product,
     rand_comma_named_sfa,
     rand_det_interval_sfa,
@@ -193,6 +195,41 @@ def test_deterministic_decisions_stay_within_the_pair_bound():
         c = OpCounters()
         equivalent(a, b, c)
         assert c.sat_calls <= pair_bound(a, b, left_stuck=True)
+
+
+def sweep_bound(a, b):
+    """Sum over the reachable pairs (p, q) of the completed inputs of
+    atoms(p) + atoms(q) + 1, where atoms(p) counts the intervals of p's
+    denoted edges (a stuck side is at the completion's sink, one atom)."""
+    ca, cb = complete(a), complete(b)
+    atoms = Counter()
+    for c in (ca, cb):
+        for t in c.transitions:
+            atoms[t.src] += len(c.binding.denote(t.pred))
+    total = 0
+    for name in product(ca, cb, ProductMode.INTERSECT).states:
+        p, q = name[1:-1].split(",")
+        total += atoms[p] + atoms[q] + 1
+    return total
+
+
+def test_interval_decisions_build_a_linear_number_of_meets():
+    """A pair's step splits the two states' edges in one sweep, so it
+    builds one meet per non-empty piece group, not one per pair of edges."""
+    rng = random.Random(241)
+    decisions = 0
+    for _ in range(10):
+        a = cut_interval_dfa(rng, 60)
+        r = rewrite(rng, a, rounds=2)
+        flipped = a.accepting ^ {rng.choice(a.states)}
+        v = Sfa(a.binding, a.states, a.initial, flipped, a.transitions)
+        for x, y in ((a, r), (r, a), (a, v)):
+            for decide in (includes, equivalent):
+                c = OpCounters()
+                decide(x, y, c)
+                assert c.conj_built <= sweep_bound(x, y)
+                decisions += 1
+    assert decisions == 60
 
 
 def test_self_equivalence_at_k12_stays_under_20000_sat_calls():
