@@ -437,7 +437,10 @@ class _Side:
     """One input of a counterexample search, read on demand.
 
     Caches live as long as the search: each state's edges are denoted the
-    first time the search steps from it.
+    first time the search steps from it, as a tuple.  A lone state's
+    splitter (fast) holds the same edges plus the residual and, for
+    intervals, the state's atoms sorted once, on its first visit; moves
+    holds the complements only _minterms needs.
     """
 
     def __init__(self, a: Sfa, counters: OpCounters):

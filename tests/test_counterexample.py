@@ -215,7 +215,8 @@ def sweep_bound(a, b):
 
 def test_interval_decisions_build_a_linear_number_of_meets():
     """A pair's step splits the two states' edges in one sweep, so it
-    builds one meet per non-empty piece group, not one per pair of edges."""
+    builds one meet per left and right edge that share a letter, not one
+    per pair of edges."""
     rng = random.Random(241)
     decisions = 0
     for _ in range(10):
