@@ -10,9 +10,11 @@ canonical interval tuple of intervals.to_dnf, or the 2^k-bit truth table of
 propositional.mask_of.  Both are falsy exactly when empty, and the binding
 combines them with meet/join/complement and picks a letter from one with
 witness, so constructions denote every transition once and decide
-emptiness, overlap and coverage on the results instead of building and
-re-walking predicate trees.  splitter readies one state's pairwise
-disjoint edges to be met with another state's edges in one pass: an
+emptiness and coverage on the results instead of building and re-walking
+predicate trees.  splitter is the one reading of a state's edges as a
+deterministic state's: it tests them for overlap (None when two share a
+letter), adds the letters they leave out as one residual edge, and
+readies them to be met with another state's edges in one pass: an
 endpoint sweep over atoms sorted once per state for intervals, one AND
 per pair of edges for truth tables.
 """
@@ -179,26 +181,9 @@ class AlgebraBinding:
             acc |= x
         return acc
 
-    def overlapping(self, xs) -> bool:
-        """Do two members of the list share a letter?
-
-        Intervals sort all atoms by start and test neighbours (members are
-        canonical, so a member never overlaps itself); truth tables test
-        each member against the OR of the ones before it.
-        """
-        if self.kind == INTERVAL:
-            return intervals.any_overlap(xs)
-        acc = 0
-        for x in xs:
-            if acc & x:
-                return True
-            acc |= x
-        return False
-
     def splitter(self, edges, rest):
         """A state's (target, solved form) edges, ready to be split against,
-        or None when two of them share a letter (exactly when overlapping
-        holds of their solved forms).
+        or None when two of them share a letter: the one determinism test.
 
         The result's edges are the input plus, when they leave letters out,
         one residual edge to rest; its split(lefts) yields the non-empty

@@ -81,19 +81,6 @@ def intersect_dnf(xs: IntervalDnf, ys: IntervalDnf) -> IntervalDnf:
     return tuple(out)
 
 
-def any_overlap(dnfs) -> bool:
-    """Do two of these canonical lists share a point?
-
-    Sorted by start, any overlapping pair implies an overlapping pair of
-    neighbours; atoms of one canonical list never overlap each other.
-    """
-    spans = sorted((a.lo, a.hi) for d in dnfs for a in d)
-    for (_, hi), (lo, _) in zip(spans, spans[1:]):
-        if lo < hi:
-            return True
-    return False
-
-
 _lo = attrgetter("lo")
 
 

@@ -10,14 +10,18 @@ per-state signatures.  Neat inputs produce neat outputs throughout:
 interval negation expands into atoms, propositional residuals into
 disjoint monomials.
 
-Each pass (determinism check, completion, refinement, product, subset
-construction) denotes each transition predicate it reads once, in its
-algebra's solved form (see algebra.py), and runs its emptiness tests on
-those denotations.  A denotation costs O(l) interval operations yielding
-at most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
-each test after that is a merge of two interval lists or one AND of two
-truth tables.  A minimize round costs one join per state and target
-block, not one meet per pair of edges of two states.
+Each construction (minimize, product, subset construction) denotes each
+transition predicate it reads once, in its algebra's solved form (see
+algebra.py), and runs its emptiness tests on those denotations.  A
+denotation costs O(l) interval operations yielding at most 2l intervals,
+or O(l) big-int operations on 2^k-bit truth tables; each test after that
+is a merge of two interval lists or one AND of two truth tables.
+minimize reads a state's edges once, through AlgebraBinding.splitter,
+which answers the determinism check, the letters completion would add
+and the refinement's moves together.  A minimize round costs one join
+per state and target block, not one meet per pair of edges of two
+states.  product and determinize read a state's edges through _Side, as
+counterexample does, only when they first step from it.
 
 Inclusion and equivalence are decided on the fly and construct nothing:
 counterexample runs one breadth-first search over pairs of states or
@@ -47,10 +51,8 @@ from .sfa import (
     edges_by_pair,
     is_complete,
     is_deterministic,
-    is_neat,
-    reachable_states,
 )
-from .transforms import _state_names, complete, to_feasible
+from .transforms import _state_names, complete, fresh_state_name, to_feasible
 
 
 class ProductMode(Enum):
@@ -75,7 +77,8 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     and requires deterministic complete inputs (a missing move in one
     component would silently drop words of the other).  Basic interval
     predicates conjoin into a single atom, so neat inputs give neat output.
-    Each component transition is denoted once; a pair costs one meet.
+    Each component transition is denoted once, when the search first
+    steps from its state (_Side); a pair costs one meet.
     Pair states are explored breadth-first and named once each (see
     _state_names).  Duplicate edges are dropped: two edge pairs of one
     state pair can fold into the same interval atom.
@@ -87,12 +90,13 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
             raise SfaError("union requires deterministic inputs")
         if not (is_complete(a, counters) and is_complete(b, counters)):
             raise SfaError("union requires complete inputs")
-    out_a = _denoted(a)
-    out_b = _denoted(b)
+    left = _Side(a, counters)
+    right = left if b is a else _Side(b, counters)
 
     def step(pair):
-        for t1, d1 in out_a[pair[0]]:
-            for t2, d2 in out_b[pair[1]]:
+        p, q = pair
+        for t1, (_, d1) in zip(left.out[p], left.edges(p)):
+            for t2, (_, d2) in zip(right.out[q], right.edges(q)):
                 pred = _conjoin(a.binding, t1.pred, d1, t2.pred, d2, counters)
                 if pred is not None:
                     yield pred, (t1.dst, t2.dst)
@@ -105,12 +109,6 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     )
     edges = dedupe_transitions(Transition(names[i], pred, names[j]) for i, pred, j in edges)
     return Sfa(a.binding, names, names[0], accepting, edges)
-
-
-def _denoted(a: Sfa):
-    """state id -> list of (transition, denotation of its predicate)."""
-    denote = a.binding.denote
-    return {q: [(t, denote(t.pred)) for t in ts] for q, ts in a.out_map().items()}
 
 
 def _conjoin(binding, p1, d1, p2, d2, counters):
@@ -164,14 +162,15 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     each (see _state_names).  An unsatisfiable transition's include branch
     is pruned, so no pre-pass drops it; a macro-state's minterms are
     disjoint and non-empty, so no edge repeats.  The sat calls are the
-    nodes of one pruned search per reachable macro-state.
+    nodes of one pruned search per reachable macro-state.  Only the states
+    some reachable macro-state holds are denoted (_Side), each edge once.
     """
     counters = counters if counters is not None else OpCounters()
     binding = a.binding
-    out = {q: [(t.dst, d, binding.complement(d)) for t, d in ts] for q, ts in _denoted(a).items()}
+    side = _Side(a, counters)
 
     def step(macro):
-        moves = [move for q in sorted(macro) for move in out[q]]
+        moves = [move for q in sorted(macro) for move in side.moves(q)]
         for mask, x in _minterms(binding, moves, counters):
             if mask:
                 yield x, _targets(moves, mask)
@@ -220,40 +219,37 @@ def _targets(moves, mask):
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Quotient by Moore partition refinement on block signatures.
 
-    Unreachable states are dropped and the automaton is completed
-    internally when needed; _signature_blocks then partitions the states.
-    The quotient keeps one representative's (lowest index) edges per block:
-    verbatim for neat input (neat stays neat), merged per target block
-    otherwise.  A block created only by the internal completion is removed
-    again, so the result never exceeds the input's state count.
+    _signature_blocks partitions the states reachable from the initial
+    state, plus a sink for the letters they leave out, reading each
+    state's edges once; it also finds any state, reachable or not, with
+    two edges that share a letter.  The quotient keeps one
+    representative's (lowest index) edges per block: verbatim for neat
+    input (neat stays neat), merged per target block otherwise.  The sink's
+    block is removed again, so the result never exceeds the input's state
+    count; when it holds the initial state it is the result's one state,
+    named from its members, the sink by fresh_state_name over the
+    reachable states.
     """
     counters = counters if counters is not None else OpCounters()
-    if not is_deterministic(a, counters):
+    refined = _signature_blocks(a, counters)
+    if refined is None:
         raise NondeterministicInput("minimize needs a deterministic automaton; determinize first")
-    reach = reachable_states(a)
-    if len(reach) < len(a.states):
-        a = Sfa(
-            a.binding,
-            tuple(q for q in a.states if q in reach),
-            a.initial,
-            frozenset(q for q in a.accepting if q in reach),
-            tuple(t for t in a.transitions if t.src in reach),
-        )
-    c = complete(a, counters)
-    sink = c.states[-1] if len(c.states) > len(a.states) else None
-    out = c.out_map()
-    block, _ = _signature_blocks(c, counters)
+    block, _ = refined
     members = {}
-    for q in c.states:
-        members.setdefault(block[q], []).append(q)
+    for q, b in block.items():
+        members.setdefault(b, []).append(q)
     # in state order, so blocks come by lowest member and ms[0] is that member
     blocks = list(members.values())
-    names = _state_names(subset_name(ms) for ms in blocks)
+    sink = fresh_state_name(block, "sink")
+    names = _state_names(subset_name(sink if q is None else q for q in ms) for ms in blocks)
     name_of = {q: nm for ms, nm in zip(blocks, names) for q in ms}
-    dropped = name_of[sink] if sink is not None else None
-    if dropped is not None and name_of[c.initial] == dropped:
-        return Sfa(c.binding, (dropped,), dropped, frozenset(), ())
-    neat_input = is_neat(c)
+    dropped = name_of.get(None)
+    if dropped is not None and name_of[a.initial] == dropped:
+        return Sfa(a.binding, (dropped,), dropped, frozenset(), ())
+    neat_input = all(
+        classify(t.pred) is not PredicateClass.GENERAL for t in a.transitions if t.src in block
+    )
+    out = a.out_map()
     edges = []
     kept = []
     for ms in blocks:
@@ -271,16 +267,26 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
                 counters.disj_built += len(preds) - 1
                 edges.append(Transition(src, mk_or(preds), dst))
     return Sfa(
-        c.binding,
+        a.binding,
         tuple(kept),
-        name_of[c.initial],
-        frozenset(name_of[q] for q in c.accepting),
+        name_of[a.initial],
+        frozenset(name_of[q] for q in a.accepting if q in name_of),
         dedupe_transitions(edges),
     )
 
 
-def _signature_blocks(c: Sfa, counters: OpCounters):
-    """Moore refinement of a complete deterministic automaton by signature.
+def _signature_blocks(a: Sfa, counters: OpCounters):
+    """Moore refinement by signature of a deterministic automaton, or None
+    when two edges of one of its states, reachable or not, share a letter.
+
+    Each edge is denoted once, one sat call per transition, and each
+    state's edges are readied by AlgebraBinding.splitter, one overlap test
+    (a sat call) per state with two edges or more; a None splitter is the
+    None answer.  The splitter leads the letters a state leaves out to one
+    residual edge into a sink, keyed None, whose one edge takes every
+    letter back to itself.  The states refined are therefore a complete
+    automaton's: the states reachable from a.initial along any edge, in
+    state order, then the sink when one of them has a residual.
 
     Blocks start as rejecting (0) and accepting (1).  Each round a state's
     signature is its block plus, per target block in ascending order, the
@@ -289,14 +295,25 @@ def _signature_blocks(c: Sfa, counters: OpCounters):
     no two states are compared.  Refinement stops when the block count
     stops growing.  Returns (state -> block, block -> its sorted (target
     block, joined denotation) pairs), the second read off the last round's
-    signatures, which agree within each block.  Empty denotations are
-    dropped once up front, one sat call per transition; each signature
-    counts one disjunction per denotation joined into another.
+    signatures, which agree within each block.  Each signature counts one
+    disjunction per denotation joined into another.
     """
-    join, denote = c.binding.join, c.binding.denote
-    counters.sat_calls += len(c.transitions)
-    moves = {q: [(t.dst, d) for t in ts if (d := denote(t.pred))] for q, ts in c.out_map().items()}
-    block = {q: int(q in c.accepting) for q in c.states}
+    binding = a.binding
+    join, denote = binding.join, binding.denote
+    counters.sat_calls += len(a.transitions)
+    edges = {}
+    for q, ts in a.out_map().items():
+        if len(ts) > 1:
+            counters.sat_calls += 1
+        s = binding.splitter([(t.dst, denote(t.pred)) for t in ts], None)
+        if s is None:
+            return None
+        edges[q] = s.edges
+    edges[None] = ((None, binding.full),)
+    reached = set(_explore(a.initial, lambda q: ((None, dst) for dst, _ in edges[q]))[0])
+    states = [q for q in a.states if q in reached] + [None] * (None in reached)
+    moves = {q: [(dst, d) for dst, d in edges[q] if d] for q in states}
+    block = {q: int(q in a.accepting) for q in states}
     count = len(set(block.values()))
 
     def signature(q):
@@ -308,7 +325,7 @@ def _signature_blocks(c: Sfa, counters: OpCounters):
 
     while True:
         ids = {}
-        refined = {q: ids.setdefault(signature(q), len(ids)) for q in c.states}
+        refined = {q: ids.setdefault(signature(q), len(ids)) for q in states}
         if len(ids) == count:
             return block, {b: letters for b, letters in ids}
         block, count = refined, len(ids)
@@ -434,10 +451,11 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
 
 
 class _Side:
-    """One input of a counterexample search, read on demand.
+    """One input of a counterexample search, a product or a subset
+    construction, read on demand.
 
-    Caches live as long as the search: each state's edges are denoted the
-    first time the search steps from it, as a tuple.  A lone state's
+    Caches live as long as the call: each state's edges are denoted the
+    first time the call steps from it, as a tuple.  A lone state's
     splitter (fast) holds the same edges plus the residual and, for
     intervals, the state's atoms sorted once, on its first visit; moves
     holds the complements only _minterms needs.

@@ -114,8 +114,8 @@ def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:
     """No two distinct transitions from one state admit a common letter.
 
     Each state with two or more outgoing transitions denotes them once and
-    makes one sat call: an overlap test on the denotations, stopping at the
-    first state that has one.
+    makes one sat call, its AlgebraBinding.splitter, which is None when two
+    of them overlap; the check stops at the first such state.
     """
     binding = a.binding
     for ts in a.out_map().values():
@@ -123,25 +123,31 @@ def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:
             continue
         if counters is not None:
             counters.sat_calls += 1
-        if binding.overlapping([binding.denote(t.pred) for t in ts]):
+        if binding.splitter([(None, binding.denote(t.pred)) for t in ts], None) is None:
             return False
     return True
 
 
 def is_complete(a: Sfa, counters: OpCounters | None = None) -> bool:
-    """Every state has a transition for every letter.
+    """Every state has a transition for every letter: every residual (see
+    _residuals) is empty, checked up to the first state whose is not."""
+    return not any(residual for _, _, residual in _residuals(a, counters))
 
-    One sat call per state: the complement of the union of its outgoing
-    denotations must be empty.
+
+def _residuals(a: Sfa, counters: OpCounters | None = None):
+    """Yield (state, its outgoing transitions, residual) in state order.
+
+    The residual holds the letters no outgoing transition admits: the
+    complement of the union of their denotations, one sat call and
+    out-degree - 1 disjunctions per state.  Nondeterministic states are
+    covered too.
     """
     binding = a.binding
-    for ts in a.out_map().values():
+    for q, ts in a.out_map().items():
         if counters is not None:
             counters.sat_calls += 1
             counters.disj_built += max(0, len(ts) - 1)
-        if binding.complement(binding.join([binding.denote(t.pred) for t in ts])):
-            return False
-    return True
+        yield q, ts, binding.complement(binding.join([binding.denote(t.pred) for t in ts]))
 
 
 def is_neat(a: Sfa) -> bool:
@@ -184,14 +190,6 @@ def size_triple(a: Sfa) -> SizeTriple:
     m = max(degree.values(), default=0)
     l = max((predicate_size(t.pred) for t in a.transitions), default=0)
     return SizeTriple(len(a.states), m, l)
-
-
-def reachable_states(a: Sfa) -> set:
-    """States reachable from the initial state ignoring predicate content,
-    found by the breadth-first _explore."""
-    out = a.out_map()
-    states, _ = _explore(a.initial, lambda q: ((None, t.dst) for t in out[q]))
-    return set(states)
 
 
 def _explore(start, step, stop=None):

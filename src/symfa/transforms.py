@@ -23,9 +23,9 @@ from .sfa import (
     Sfa,
     Transition,
     _explore,
+    _residuals,
     dedupe_transitions,
     edges_by_pair,
-    is_deterministic,
     is_neat,
     is_normalized,
 )
@@ -96,31 +96,26 @@ def to_feasible(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Add a non-accepting sink absorbing every uncovered letter.
 
-    Each state's residual is the complement of the union of its outgoing
-    denotations, computed once per state with one sat call; when every
-    residual is empty the automaton comes back unchanged.  Neat input stays
-    neat: the residual becomes basic predicates, the gaps between the
-    covered intervals (at most out-degree + 1 single-atom edges per state)
-    or disjoint monomials covering the missing valuations.  Otherwise each
-    state with a non-empty residual gets one edge labeled with the negated
-    disjunction of its outgoing predicates.  Completion never breaks
-    determinism: all added predicates avoid the covered letters.
+    Each state's residual (sfa._residuals) is the complement of the union
+    of its outgoing denotations, computed once per state with one sat call;
+    when every residual is empty the automaton comes back unchanged.  Neat
+    input stays neat: the residual becomes basic predicates, the gaps
+    between the covered intervals (at most out-degree + 1 single-atom edges
+    per state) or disjoint monomials covering the missing valuations.
+    Otherwise each state with a non-empty residual gets one edge labeled
+    with the negated disjunction of its outgoing predicates.  Completion
+    never breaks determinism: all added predicates avoid the covered
+    letters.
     """
     counters = counters if counters is not None else OpCounters()
     binding = a.binding
-    out = a.out_map()
-    residuals = {}
-    for q, ts in out.items():
-        counters.sat_calls += 1
-        counters.disj_built += max(0, len(ts) - 1)
-        residuals[q] = binding.complement(binding.join([binding.denote(t.pred) for t in ts]))
-    if not any(residuals.values()):
+    residuals = list(_residuals(a, counters))
+    if not any(residual for _, _, residual in residuals):
         return a
     sink = fresh_state_name(set(a.states), "sink")
     neat = is_neat(a)
     edges = []
-    for q, ts in out.items():
-        residual = residuals[q]
+    for q, ts, residual in residuals:
         if neat:
             edges.extend(Transition(q, p, sink) for p in binding.basic_preds(residual))
         elif not ts:
@@ -140,12 +135,14 @@ def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """The unique minimal-state deterministic complete neat form.
 
-    Determinize unless already deterministic, complete, and refine states
-    into blocks by signature (operations._signature_blocks, as minimize
-    does).  Each block's signature already holds, per target block, the
-    canonical intervals of its letters; they become one transition per
-    atom, and blocks are renamed q0, q1, ... in breadth-first order from
-    the initial state's block, exploring transitions by ascending interval.
+    Refine states into blocks by signature (operations._signature_blocks,
+    as minimize does), which reads each state's edges once and completes on
+    the way; when a state's edges overlap, determinize and refine the
+    result instead.  Each block's signature already holds, per target
+    block, the canonical intervals of its letters; they become one
+    transition per atom, and blocks are renamed q0, q1, ... in
+    breadth-first order from the initial state's block, exploring
+    transitions by ascending interval.
     No step after determinizing sees what it would change (state names,
     unreachable states, unsatisfiable edges), so language-equal inputs
     yield structurally equal outputs.  Interval binding only: no unique
@@ -154,20 +151,22 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     if not a.binding.is_monotonic:
         raise UnsupportedAlgebra("canonical minimal forms need the interval algebra")
     counters = counters if counters is not None else OpCounters()
-    # imported here: operations imports complete from this module
+    # imported here: operations imports from this module
     from .operations import _signature_blocks, determinize
 
-    d = a if is_deterministic(a, counters) else determinize(a, counters)
-    c = complete(d, counters)
-    block, letters = _signature_blocks(c, counters)
+    refined = _signature_blocks(a, counters)
+    if refined is None:
+        a = determinize(a, counters)
+        refined = _signature_blocks(a, counters)
+    block, letters = refined
     outgoing = {
         b: sorted(((atom, dst) for dst, x in sig for atom in x), key=lambda e: (e[0].lo, e[0].hi))
         for b, sig in letters.items()
     }
-    order, edges = _explore(block[c.initial], outgoing.__getitem__)
-    accepting = {block[q] for q in c.accepting}
+    order, edges = _explore(block[a.initial], outgoing.__getitem__)
+    accepting = {b for q, b in block.items() if q in a.accepting}
     return Sfa(
-        c.binding,
+        a.binding,
         tuple(f"q{i}" for i in range(len(order))),
         "q0",
         frozenset(f"q{i}" for i, b in enumerate(order) if b in accepting),

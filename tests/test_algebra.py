@@ -183,7 +183,7 @@ def _check_splitter(b, lefts, rights):
     the residual edge."""
     ds = [d for _, d in rights]
     s = b.splitter(rights, "rest")
-    assert (s is None) == b.overlapping(ds)
+    assert (s is None) == any(b.meet(d, e) for i, d in enumerate(ds) for e in ds[:i])
     if s is None:
         return False
     residual = b.complement(b.join(ds))

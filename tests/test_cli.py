@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from symfa import (
     Atom,
@@ -115,7 +116,7 @@ def test_intersect_writes_product(capsys, tmp_path, two_state):
     out_path = tmp_path / "prod.sfa"
     code, _, _ = run(capsys, "intersect", TWO_STATE, low, "--out", str(out_path))
     assert code == 0
-    expected = product(two_state, parse_sfa(open(low).read()), ProductMode.INTERSECT)
+    expected = product(two_state, parse_sfa(Path(low).read_text()), ProductMode.INTERSECT)
     assert parse_sfa(out_path.read_text()) == expected
     assert run(capsys, "include", str(out_path), TWO_STATE)[0] == 0
     assert run(capsys, "include", TWO_STATE, str(out_path))[0] == 1

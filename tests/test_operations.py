@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from symfa import (
     SfaError,
     Transition,
     canonical_minimal_neat,
+    canonical_minimal_normalized,
     complement,
     complete,
     determinize,
@@ -46,6 +48,8 @@ from symfa.oracle import (
     separating_word,
     short_words,
 )
+from symfa import operations, sfa, transforms
+from symfa.algebra import AlgebraBinding
 from symfa.operations import _minterms, _signature_blocks
 from symfa.sfa import rename_states
 from genlib import (
@@ -387,6 +391,66 @@ def test_signature_blocks_count_joins_per_state_and_round():
     assert len(set(block.values())) == 3
     assert [dst for dst, _ in letters[block["q0"]]] == [block["q1"]]
     assert c.disj_built == 2
+    assert list(block) == ["q0", "q1", "q2"]  # complete: no sink
+
+
+def test_signature_blocks_read_a_sink_and_refuse_overlapping_edges():
+    a = Sfa(
+        interval_binding(),
+        ("q0", "q1", "q2", "dead"),
+        "q0",
+        {"q1"},
+        (
+            Transition("q0", ia(0, 10), "q1"),
+            Transition("q0", mk_and([ia(0, 1), ia(2, 3)]), "q2"),
+            Transition("q1", TRUE, "q1"),
+            Transition("dead", ia(0, 5), "q0"),
+        ),
+    )
+    c = OpCounters()
+    block, letters = _signature_blocks(a, c)
+    # q2 is reached by an unsatisfiable edge only; the sink (None) comes last
+    assert list(block) == ["q0", "q1", "q2", None]
+    assert block["q2"] == block[None] != block["q0"]
+    assert c.sat_calls == len(a.transitions) + 1  # one overlap test, at q0
+    overlapping = Transition("dead", ia(3, 8), "q0")
+    b = Sfa(a.binding, a.states, a.initial, a.accepting, a.transitions + (overlapping,))
+    assert _signature_blocks(b, OpCounters()) is None
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("minimize and the canonical forms read edges through the splitter")
+
+
+def test_minimize_and_canonical_forms_denote_each_edge_at_most_once(monkeypatch):
+    calls = Counter()
+    denote = AlgebraBinding.denote
+
+    def counting(self, p):
+        calls[id(p)] += 1
+        return denote(self, p)
+
+    monkeypatch.setattr(AlgebraBinding, "denote", counting)
+    for module in (sfa, transforms, operations):
+        for name in ("complete", "is_deterministic"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(239)
+    for i in range(160):
+        complete = rng.random() < 0.5
+        if i % 2:
+            a = rand_det_interval_sfa(rng, complete=complete, neat=rng.random() < 0.5)
+            runs = (minimize, canonical_minimal_neat, canonical_minimal_normalized)
+        else:
+            a = rand_det_prop_sfa(rng, k=3, complete=complete)
+            runs = (minimize,)
+        if rng.random() < 0.4:
+            a = rewrite(rng, a, rounds=2)
+        allowed = Counter(id(t.pred) for t in a.transitions)
+        for run in runs:
+            calls.clear()
+            run(a)
+            assert all(n <= allowed[p] for p, n in calls.items())
 
 
 def test_minimize_requires_deterministic():
