@@ -1,25 +1,27 @@
 """Algebra bindings: which concrete algebra an automaton's predicates live in.
 
-A binding fixes the letter domain and dispatches evaluation and
-satisfiability.  Two automata can be combined only when their bindings are
-equal.  Satisfiability checks route through an OpCounters so callers can
-meter how many times an operation touched the solver.
+One class per algebra: IntervalBinding (half-open integer intervals, int
+letters; interval_binding()) and PropositionalBinding (propositions p1..pk,
+letters 0/1 tuples of length k; propositional_binding(props)).  Their base
+AlgebraBinding holds what both share: evaluate, sat (metered through an
+OpCounters), splitter's overlap count, and check_same, since two automata
+combine only when their bindings are equal.
 
-Each algebra also has a solved form, the denotation of a predicate: the
-canonical interval tuple of intervals.to_dnf, or the 2^k-bit truth table of
-propositional.mask_of.  Both are falsy exactly when empty, and the binding
-combines them with meet/join/complement and picks a letter from one with
-witness, so constructions denote every transition once and decide
-emptiness and coverage on the results instead of building and re-walking
-predicate trees.  splitter is the one reading of a state's edges as a
-deterministic state's: it tests them for overlap (None when two share a
-letter), adds the letters they leave out as one residual edge, and
-readies them to be met with another state's edges in one pass: an
-endpoint sweep over atoms sorted once per state for intervals, one AND
-per pair of edges for truth tables.
+Each algebra's solved form, the denotation of a predicate, is the
+canonical interval tuple of intervals.to_dnf or the 2^k-bit truth table of
+propositional.mask_of; both are falsy exactly when empty.  Each class
+writes the same operations once for its own form (denote, full, witness,
+meet, complement, join, splitter, basic_preds), so constructions denote
+every transition once and decide emptiness and coverage on the results.
+splitter is the one reading of a state's edges as a deterministic state's:
+it tests them for overlap (None when two share a letter), adds the letters
+they leave out as one residual edge, and readies them to be met with
+another state's edges in one pass: an endpoint sweep over atoms sorted
+once per state for intervals, one AND per pair of edges for truth tables.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from . import intervals, propositional
 from .errors import BindingMismatch, UnsupportedAlgebra
@@ -35,9 +37,6 @@ from .predicates import (
     _FalsePred,
     _TruePred,
 )
-
-INTERVAL = "interval"
-PROPOSITIONAL = "propositional"
 
 
 @dataclass
@@ -58,67 +57,13 @@ class OpCounters:
 
 @dataclass(frozen=True)
 class AlgebraBinding:
-    """Interval algebra over the integers, or propositions p1..pk.
+    """What both algebras share; is_monotonic is True for intervals."""
 
-    For the propositional kind, `props` names the k variables; letters are
-    0/1 tuples of length k.  For the interval kind `props` is empty and
-    letters are ints.
-    """
-
-    kind: str
-    props: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in (INTERVAL, PROPOSITIONAL):
-            raise UnsupportedAlgebra(f"unknown algebra kind: {self.kind!r}")
-        if self.kind == INTERVAL:
-            if self.props:
-                raise UnsupportedAlgebra("interval algebra takes no propositions")
-        else:
-            if not self.props:
-                raise UnsupportedAlgebra("propositional algebra needs at least one proposition")
-            if len(self.props) > propositional.MAX_PROPS:
-                raise UnsupportedAlgebra(
-                    f"at most {propositional.MAX_PROPS} propositions, got {len(self.props)}"
-                )
-            if len(set(self.props)) != len(self.props):
-                raise UnsupportedAlgebra("duplicate proposition names")
-
-    @property
-    def is_monotonic(self) -> bool:
-        return self.kind == INTERVAL
-
-    @property
-    def k(self) -> int:
-        return len(self.props)
+    is_monotonic: ClassVar[bool]
 
     def check_same(self, other: "AlgebraBinding"):
         if self != other:
             raise BindingMismatch(f"algebra mismatch: {self} vs {other}")
-
-    def check_letter(self, letter):
-        if self.kind == INTERVAL:
-            if not isinstance(letter, int) or isinstance(letter, bool):
-                raise TypeError(f"interval letters are ints, got {letter!r}")
-        else:
-            if (
-                not isinstance(letter, tuple)
-                or len(letter) != self.k
-                or any(b not in (0, 1) for b in letter)
-            ):
-                raise TypeError(f"letters are 0/1 tuples of length {self.k}, got {letter!r}")
-
-    def check_atom(self, payload):
-        if self.kind == INTERVAL:
-            if not isinstance(payload, IntervalAtom):
-                raise UnsupportedAlgebra(f"interval algebra got atom {payload!r}")
-        else:
-            if not isinstance(payload, LiteralAtom):
-                raise UnsupportedAlgebra(f"propositional algebra got atom {payload!r}")
-            if not 0 <= payload.var < self.k:
-                raise UnsupportedAlgebra(
-                    f"literal on p{payload.var + 1} but only {self.k} propositions"
-                )
 
     def evaluate(self, p: Predicate, letter) -> bool:
         """Does this letter satisfy p?"""
@@ -137,53 +82,10 @@ class AlgebraBinding:
     def is_sat(self, p: Predicate, counters: OpCounters | None = None) -> bool:
         return self.sat(p, counters) is not None
 
-    def denote(self, p: Predicate):
-        """p's solved form: canonical interval tuple or truth-table int."""
-        if self.kind == INTERVAL:
-            return intervals.to_dnf(p)
-        return propositional.mask_of(p, self.k)
-
-    @property
-    def full(self):
-        """Solved form of TRUE."""
-        if self.kind == INTERVAL:
-            return (FULL_INTERVAL,)
-        return propositional.full_mask(self.k)
-
-    def witness(self, x):
-        """A letter of a solved form, or None when it is empty.
-
-        A truth table gives the valuation of its lowest set bit, the first
-        satisfying one in all_valuations order.  An interval list gives its
-        first interval's lo if finite, else that interval's hi - 1 if
-        finite, else 0.
-        """
-        if self.kind == INTERVAL:
-            return intervals._witness(x)
-        return propositional._witness(x, self.k)
-
-    def meet(self, x, y):
-        if self.kind == INTERVAL:
-            return intervals.intersect_dnf(x, y)
-        return x & y
-
-    def complement(self, x):
-        if self.kind == INTERVAL:
-            return intervals.complement_intervals(x)
-        return propositional.full_mask(self.k) ^ x
-
-    def join(self, xs):
-        """Union of a list of solved forms."""
-        if self.kind == INTERVAL:
-            return intervals.canonical_union([atom for x in xs for atom in x])
-        acc = 0
-        for x in xs:
-            acc |= x
-        return acc
-
-    def splitter(self, edges, rest):
+    def splitter(self, edges, rest, counters: OpCounters | None = None):
         """A state's (target, solved form) edges, ready to be split against,
-        or None when two of them share a letter: the one determinism test.
+        or None when two of them share a letter: the one determinism test,
+        counted as one sat call when there are two edges or more.
 
         The result's edges are the input plus, when they leave letters out,
         one residual edge to rest; its split(lefts) yields the non-empty
@@ -194,15 +96,123 @@ class AlgebraBinding:
         an index that split sweeps with one bisection per left atom; truth
         tables test overlap by OR and split with one AND per pair of edges.
         """
-        if self.kind == INTERVAL:
-            return intervals.Splitter.of(edges, rest)
+        if counters is not None and len(edges) > 1:
+            counters.sat_calls += 1
+        return self._splitter(edges, rest)
+
+
+@dataclass(frozen=True)
+class IntervalBinding(AlgebraBinding):
+    """Half-open integer intervals; solved forms are canonical interval tuples."""
+
+    is_monotonic = True
+    full = (FULL_INTERVAL,)
+
+    def check_letter(self, letter):
+        if not isinstance(letter, int) or isinstance(letter, bool):
+            raise TypeError(f"interval letters are ints, got {letter!r}")
+
+    def check_atom(self, payload):
+        if not isinstance(payload, IntervalAtom):
+            raise UnsupportedAlgebra(f"interval algebra got atom {payload!r}")
+
+    def denote(self, p: Predicate):
+        return intervals.to_dnf(p)
+
+    def witness(self, x):
+        """x's first interval's lo if finite, else its hi - 1 if finite,
+        else 0; None when x is empty."""
+        return intervals._witness(x)
+
+    def meet(self, x, y):
+        return intervals.intersect_dnf(x, y)
+
+    def complement(self, x):
+        return intervals.complement_intervals(x)
+
+    def join(self, xs):
+        return intervals.canonical_union([atom for x in xs for atom in x])
+
+    def _splitter(self, edges, rest):
+        return intervals.Splitter.of(edges, rest)
+
+    def basic_preds(self, x) -> list:
+        """One atom per interval of x: pairwise disjoint basic predicates."""
+        return [Atom(atom) for atom in x]
+
+
+@dataclass(frozen=True)
+class PropositionalBinding(AlgebraBinding):
+    """Propositions named by props, any iterable of distinct nonempty
+    strings, kept as a tuple; solved forms are 2^k-bit truth tables."""
+
+    props: tuple
+    is_monotonic = False
+
+    def __post_init__(self):
+        props = tuple(self.props)
+        object.__setattr__(self, "props", props)
+        if not props:
+            raise UnsupportedAlgebra("propositional algebra needs at least one proposition")
+        if len(props) > propositional.MAX_PROPS:
+            raise UnsupportedAlgebra(
+                f"at most {propositional.MAX_PROPS} propositions, got {len(props)}"
+            )
+        for name in props:
+            if not isinstance(name, str) or not name:
+                raise UnsupportedAlgebra(f"proposition names are nonempty strings, got {name!r}")
+        if len(set(props)) != len(props):
+            raise UnsupportedAlgebra("duplicate proposition names")
+
+    @property
+    def k(self) -> int:
+        return len(self.props)
+
+    def check_letter(self, letter):
+        if (
+            not isinstance(letter, tuple)
+            or len(letter) != self.k
+            or any(b not in (0, 1) for b in letter)
+        ):
+            raise TypeError(f"letters are 0/1 tuples of length {self.k}, got {letter!r}")
+
+    def check_atom(self, payload):
+        if not isinstance(payload, LiteralAtom):
+            raise UnsupportedAlgebra(f"propositional algebra got atom {payload!r}")
+        if not 0 <= payload.var < self.k:
+            raise UnsupportedAlgebra(
+                f"literal on p{payload.var + 1} but only {self.k} propositions"
+            )
+
+    def denote(self, p: Predicate):
+        return propositional.mask_of(p, self.k)
+
+    @property
+    def full(self):
+        return propositional.full_mask(self.k)
+
+    def witness(self, x):
+        """The valuation of x's lowest set bit, the first satisfying one in
+        all_valuations order; None when x is empty."""
+        return propositional._witness(x, self.k)
+
+    def meet(self, x, y):
+        return x & y
+
+    def complement(self, x):
+        return propositional.full_mask(self.k) ^ x
+
+    def join(self, xs):
+        acc = 0
+        for x in xs:
+            acc |= x
+        return acc
+
+    def _splitter(self, edges, rest):
         return propositional.Splitter.of(edges, self.k, rest)
 
     def basic_preds(self, x) -> list:
-        """Pairwise disjoint basic predicates whose union denotes x: one
-        atom per interval, or propositional.disjoint_monomials."""
-        if self.kind == INTERVAL:
-            return [Atom(atom) for atom in x]
+        """propositional.disjoint_monomials of x, as predicates."""
         return [
             propositional.monomial_to_pred(m)
             for m in propositional.disjoint_monomials(x, self.k)
@@ -245,9 +255,9 @@ def _holds(p: Predicate, letter) -> bool:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def interval_binding() -> AlgebraBinding:
-    return AlgebraBinding(INTERVAL)
+def interval_binding() -> IntervalBinding:
+    return IntervalBinding()
 
 
-def propositional_binding(props) -> AlgebraBinding:
-    return AlgebraBinding(PROPOSITIONAL, tuple(props))
+def propositional_binding(props) -> PropositionalBinding:
+    return PropositionalBinding(props)

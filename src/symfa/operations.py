@@ -303,9 +303,7 @@ def _signature_blocks(a: Sfa, counters: OpCounters):
     counters.sat_calls += len(a.transitions)
     edges = {}
     for q, ts in a.out_map().items():
-        if len(ts) > 1:
-            counters.sat_calls += 1
-        s = binding.splitter([(t.dst, denote(t.pred)) for t in ts], None)
+        s = binding.splitter([(t.dst, denote(t.pred)) for t in ts], None, counters)
         if s is None:
             return None
         edges[q] = s.edges
@@ -503,8 +501,5 @@ class _Side:
         if macro not in fast:
             fast[macro] = None
             if len(macro) == 1:
-                es = self.edges(*macro)
-                if len(es) > 1:
-                    self.counters.sat_calls += 1
-                fast[macro] = self.binding.splitter(es, ())
+                fast[macro] = self.binding.splitter(self.edges(*macro), (), self.counters)
         return fast[macro]

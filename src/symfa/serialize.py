@@ -11,7 +11,7 @@ are rejected; errors carry the JSON path (and line/column for syntax).
 import json
 
 from .algebra import AlgebraBinding, interval_binding, propositional_binding
-from .errors import FormatError
+from .errors import FormatError, UnsupportedAlgebra
 from .predicates import (
     And,
     Atom,
@@ -99,11 +99,11 @@ def _parse_algebra(obj) -> AlgebraBinding:
             return interval_binding()
         if obj.get("kind") == "propositional":
             props = obj.get("props")
-            if not isinstance(props, list) or not all(isinstance(p, str) and p for p in props):
+            if not isinstance(props, list):
                 raise FormatError("algebra.props: must be a list of nonempty strings")
             try:
                 return propositional_binding(props)
-            except Exception as e:
+            except UnsupportedAlgebra as e:
                 raise FormatError(f"algebra: {e}") from None
     raise FormatError(f"algebra: expected \"interval\" or a propositional object, got {obj!r}")
 

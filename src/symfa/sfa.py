@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraBinding, OpCounters
 from .predicates import (
-    And,
-    Atom,
-    Not,
-    Or,
     Predicate,
     PredicateClass,
-    _FalsePred,
-    _TruePred,
     classify,
     iter_atoms,
     predicate_size,
@@ -97,17 +91,17 @@ def validate(a: Sfa) -> list:
 
 
 def _check_pred(binding: AlgebraBinding, p: Predicate) -> list:
-    if isinstance(p, (_TruePred, _FalsePred)):
-        return []
-    if isinstance(p, (And, Or, Not)) or isinstance(p, Atom):
-        errs = []
-        for payload in iter_atoms(p):
-            try:
-                binding.check_atom(payload)
-            except Exception as e:
-                errs.append(str(e))
-        return errs
-    return [f"not a predicate: {p!r}"]
+    try:
+        predicate_size(p)  # raises on any node, root or below, that is not a predicate
+    except TypeError as e:
+        return [str(e)]
+    errs = []
+    for payload in iter_atoms(p):
+        try:
+            binding.check_atom(payload)
+        except Exception as e:
+            errs.append(str(e))
+    return errs
 
 
 def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:
@@ -121,9 +115,7 @@ def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:
     for ts in a.out_map().values():
         if len(ts) < 2:
             continue
-        if counters is not None:
-            counters.sat_calls += 1
-        if binding.splitter([(None, binding.denote(t.pred)) for t in ts], None) is None:
+        if binding.splitter([(None, binding.denote(t.pred)) for t in ts], None, counters) is None:
             return False
     return True
 

@@ -17,6 +17,7 @@ from symfa import (
     mk_and,
     propositional_binding,
 )
+from symfa.algebra import IntervalBinding, PropositionalBinding
 from symfa.propositional import all_valuations
 from genlib import rand_interval_atom, rand_interval_pred, rand_monomial, rand_prop_pred
 
@@ -35,10 +36,18 @@ def test_propositional_binding_enforces_distinct_names():
 
 
 def test_interval_binding_takes_no_props():
-    with pytest.raises(UnsupportedAlgebra):
-        from symfa.algebra import AlgebraBinding
+    with pytest.raises(TypeError):
+        IntervalBinding(("p1",))
 
-        AlgebraBinding("interval", ("p1",))
+
+def test_propositional_binding_keeps_props_as_a_tuple_of_nonempty_names():
+    listed, tupled = propositional_binding(["p", "q"]), PropositionalBinding(("p", "q"))
+    assert PropositionalBinding(["p", "q"]) == listed == tupled
+    assert listed.props == ("p", "q")
+    assert hash(listed) == hash(tupled)
+    for bad in (["", "q"], ["p", 3], [None]):
+        with pytest.raises(UnsupportedAlgebra):
+            propositional_binding(bad)
 
 
 def test_eval_interval_atom():

@@ -34,7 +34,7 @@ from symfa import (
     propositional_binding,
 )
 from symfa import operations
-from symfa.algebra import AlgebraBinding
+from symfa.algebra import IntervalBinding, PropositionalBinding
 from symfa.oracle import separating_word
 from genlib import (
     add_unsat_edge,
@@ -132,13 +132,16 @@ def refuse(*args, **kwargs):
 
 def test_each_edge_is_denoted_at_most_once_per_call(monkeypatch):
     calls = Counter()
-    denote = AlgebraBinding.denote
 
-    def counting(self, p):
-        calls[id(p)] += 1
-        return denote(self, p)
+    def counting(denote):
+        def counted(self, p):
+            calls[id(p)] += 1
+            return denote(self, p)
 
-    monkeypatch.setattr(AlgebraBinding, "denote", counting)
+        return counted
+
+    for binding in (IntervalBinding, PropositionalBinding):
+        monkeypatch.setattr(binding, "denote", counting(binding.denote))
     for name in ("complement", "product", "determinize", "is_empty", "is_deterministic"):
         monkeypatch.setattr(operations, name, refuse)
     rng = random.Random(227)

@@ -49,7 +49,7 @@ from symfa.oracle import (
     short_words,
 )
 from symfa import operations, sfa, transforms
-from symfa.algebra import AlgebraBinding
+from symfa.algebra import IntervalBinding, PropositionalBinding
 from symfa.operations import _minterms, _signature_blocks
 from symfa.sfa import rename_states
 from genlib import (
@@ -424,13 +424,16 @@ def refuse(*args, **kwargs):
 
 def test_minimize_and_canonical_forms_denote_each_edge_at_most_once(monkeypatch):
     calls = Counter()
-    denote = AlgebraBinding.denote
 
-    def counting(self, p):
-        calls[id(p)] += 1
-        return denote(self, p)
+    def counting(denote):
+        def counted(self, p):
+            calls[id(p)] += 1
+            return denote(self, p)
 
-    monkeypatch.setattr(AlgebraBinding, "denote", counting)
+        return counted
+
+    for binding in (IntervalBinding, PropositionalBinding):
+        monkeypatch.setattr(binding, "denote", counting(binding.denote))
     for module in (sfa, transforms, operations):
         for name in ("complete", "is_deterministic"):
             if hasattr(module, name):

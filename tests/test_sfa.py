@@ -4,11 +4,13 @@ from itertools import combinations
 import pytest
 
 from symfa import (
+    And,
     Atom,
     IntervalAtom,
     NEG_INF,
     Not,
     OpCounters,
+    Or,
     POS_INF,
     Sfa,
     SizeTriple,
@@ -71,6 +73,15 @@ def test_validate_flags_duplicate_transition():
     t = Transition("q0", ia(0, 1), "q0")
     a = Sfa(interval_binding(), ("q0",), "q0", set(), (t, t))
     assert any("duplicate" in msg for msg in validate(a))
+
+
+def test_validate_flags_a_non_predicate_at_any_depth():
+    nested = Or((ia(9, 10), Not(And((ia(0, 1), "junk")))))
+    for pred in ("junk", And((ia(0, 5), "junk")), Not("junk"), nested):
+        a = one_state(pred)
+        assert validate(a) == ["not a predicate: 'junk'"]
+        with pytest.raises(TypeError, match="not a predicate"):
+            membership(a, [0])
 
 
 def test_two_state_is_deterministic(two_state):
