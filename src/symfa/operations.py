@@ -20,16 +20,17 @@ minimize reads a state's edges once, through AlgebraBinding.splitter,
 which answers the determinism check, the letters completion would add
 and the refinement's moves together.  A minimize round costs one join
 per state and target block, not one meet per pair of edges of two
-states.  product and determinize read a state's edges through _Side, as
-counterexample does, only when they first step from it.
+states.  product, determinize and counterexample read a state's edges
+through _Side when they first step from it; the last two read each
+macro-state through _Side.det, the one caller of _minterms.
 
 Inclusion and equivalence are decided on the fly and construct nothing:
 counterexample runs one breadth-first search over pairs of states or
 macro-states of the two inputs, reads a state's edges only when the
 search first steps from it, and stops at the first pair that answers the
-question.  Two states with disjoint edges split in one pass
-(AlgebraBinding.splitter): for intervals an endpoint sweep, not one meet
-per pair of edges.
+question.  Both sides of a pair are read by _Side.det as deterministic
+states and split in one pass (AlgebraBinding.splitter): for intervals an
+endpoint sweep, not one meet per pair of edges.
 """
 
 from enum import Enum
@@ -150,34 +151,36 @@ def complement(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Subset construction with minterm-labeled transitions.
 
-    From a macro-state, every sign assignment over its outgoing component
-    transitions (take ψ or ¬ψ) yields a minterm; satisfiable minterms with
-    at least one positive member become transitions to the set of states
-    those members reach, in include-first order.  Partial conjunctions are
-    pruned as soon as they become unsatisfiable, and the all-negative
-    residual is omitted, so the output may be incomplete.  Minterms are
-    emitted as canonical atoms (interval) or disjoint monomials
-    (propositional), hence always neat and pairwise disjoint: the output is
-    deterministic.  Macro-states are explored breadth-first and named once
-    each (see _state_names).  An unsatisfiable transition's include branch
-    is pruned, so no pre-pass drops it; a macro-state's minterms are
-    disjoint and non-empty, so no edge repeats.  The sat calls are the
-    nodes of one pruned search per reachable macro-state.  Only the states
-    some reachable macro-state holds are denoted (_Side), each edge once.
+    Each macro-state, a sorted tuple of states, is read once by _Side.det: a
+    lone state whose edges are pairwise disjoint keeps them; from any other,
+    every sign assignment over its outgoing component transitions (take ψ or
+    ¬ψ) yields a minterm, and satisfiable minterms with at least one
+    positive member become transitions to the set of states those members
+    reach, in include-first order.  Partial conjunctions are pruned as soon
+    as they become unsatisfiable, and the letters no edge takes are omitted,
+    so the output may be incomplete.  Minterms are emitted as canonical
+    atoms (interval) or disjoint monomials (propositional), hence always
+    neat and pairwise disjoint: the output is deterministic.  Macro-states
+    are explored breadth-first and named once each (see _state_names).  An
+    unsatisfiable transition's include branch is pruned, or its denotation
+    is empty, so no pre-pass drops it; a macro-state's edges are disjoint
+    and non-empty, so no edge repeats.  The sat calls are one overlap test
+    per lone state with two edges or more, and the nodes of one pruned
+    search per other reachable macro-state.  Only the states some reachable
+    macro-state holds are denoted (_Side), each edge once.
     """
     counters = counters if counters is not None else OpCounters()
     binding = a.binding
     side = _Side(a, counters)
 
     def step(macro):
-        moves = [move for q in sorted(macro) for move in side.moves(q)]
-        for mask, x in _minterms(binding, moves, counters):
-            if mask:
-                yield x, _targets(moves, mask)
+        for target, x in side.det(macro).edges:
+            if target and x:
+                yield x, target
 
-    macros, edges = _explore(frozenset({a.initial}), step)
+    macros, edges = _explore((a.initial,), step)
     names = _state_names(subset_name(s) for s in macros)
-    accepting = (nm for nm, s in zip(names, macros) if s & a.accepting)
+    accepting = (nm for nm, s in zip(names, macros) if not a.accepting.isdisjoint(s))
     edges = (Transition(names[i], p, names[j]) for i, x, j in edges for p in binding.basic_preds(x))
     return Sfa(binding, names, names[0], accepting, edges)
 
@@ -210,25 +213,19 @@ def _minterms(binding, moves, counters):
     return results
 
 
-def _targets(moves, mask):
-    """The targets of the moves a _minterms mask takes (its low len(moves)
-    bits)."""
-    return frozenset(m[0] for j, m in enumerate(reversed(moves)) if mask >> j & 1)
-
-
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Quotient by Moore partition refinement on block signatures.
 
-    _signature_blocks partitions the states reachable from the initial
-    state, plus a sink for the letters they leave out, reading each
-    state's edges once; it also finds any state, reachable or not, with
-    two edges that share a letter.  The quotient keeps one
-    representative's (lowest index) edges per block: verbatim for neat
-    input (neat stays neat), merged per target block otherwise.  The sink's
-    block is removed again, so the result never exceeds the input's state
-    count; when it holds the initial state it is the result's one state,
-    named from its members, the sink by fresh_state_name over the
-    reachable states.
+    _signature_blocks partitions the states satisfiable edges reach from the
+    initial state, plus a sink for the letters they leave out, reading each
+    state's edges once; it also finds any state, reachable or not, with two
+    edges that share a letter.  The quotient keeps one representative's
+    (lowest index) edges per block, less those into the sink's block or a
+    state not refined: verbatim for neat input (neat stays neat), merged per
+    target block otherwise.  The sink's block is removed again, so the
+    result never exceeds the input's state count; when it holds the initial
+    state it is the result's one state, named from its members, the sink by
+    fresh_state_name over the reachable states.
     """
     counters = counters if counters is not None else OpCounters()
     refined = _signature_blocks(a, counters)
@@ -258,7 +255,9 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
             continue
         kept.append(nm)
         rep_edges = [
-            Transition(nm, t.pred, name_of[t.dst]) for t in out[ms[0]] if name_of[t.dst] != dropped
+            Transition(nm, t.pred, name_of[t.dst])
+            for t in out[ms[0]]
+            if name_of.get(t.dst, dropped) != dropped
         ]
         if neat_input:
             edges.extend(rep_edges)
@@ -285,8 +284,8 @@ def _signature_blocks(a: Sfa, counters: OpCounters):
     None answer.  The splitter leads the letters a state leaves out to one
     residual edge into a sink, keyed None, whose one edge takes every
     letter back to itself.  The states refined are therefore a complete
-    automaton's: the states reachable from a.initial along any edge, in
-    state order, then the sink when one of them has a residual.
+    automaton's: the states reachable from a.initial along satisfiable
+    edges, in state order, then the sink when one of them has a residual.
 
     Blocks start as rejecting (0) and accepting (1).  Each round a state's
     signature is its block plus, per target block in ascending order, the
@@ -308,7 +307,7 @@ def _signature_blocks(a: Sfa, counters: OpCounters):
             return None
         edges[q] = s.edges
     edges[None] = ((None, binding.full),)
-    reached = set(_explore(a.initial, lambda q: ((None, dst) for dst, _ in edges[q]))[0])
+    reached = set(_explore(a.initial, lambda q: ((None, dst) for dst, d in edges[q] if d))[0])
     states = [q for q in a.states if q in reached] + [None] * (None in reached)
     moves = {q: [(dst, d) for dst, d in edges[q] if d] for q in states}
     block = {q: int(q in a.accepting) for q in states}
@@ -381,20 +380,21 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
     the empty one is a side that is stuck, and rejects from then on.
 
     Each edge is denoted once per call, when the search first steps from
-    its state.  When every side a pair splits is the empty macro-state or
-    one state whose edges are pairwise disjoint (one overlap test per
-    state; see _Side.fast), the right state's splitter splits the left
-    edges against its own, its residual (the letters it has no edge for)
-    counting as one more edge.  For intervals that is a sweep: one
-    bisection per left atom into the right state's atoms, sorted once per
-    state, and one step per piece; for truth tables one AND per pair of
-    edges.  Each non-empty meet counts one sat call and one conjunction
-    built, and no join is made.  The left side of "subset" is never split:
-    each a-edge leads to its own pair.  Any other pair runs one _minterms
-    search over the moves of both sides, its mask split into the two
-    target sets.  Every pair keeps only its first parent and the label
-    that reached it, so the witnesses of the labels on the path to the
-    first bad pair form a shortest word.
+    its state.  A macro-state is read once per call, by _Side.det, as one
+    deterministic state: a lone state whose edges are pairwise disjoint
+    keeps them (one overlap test), and any other macro-state runs one
+    _minterms search over its members' moves; the residual (the letters it
+    has no edge for) counts as one more edge, into the empty macro-state.
+    The right side's reading splits the left edges against its own: for
+    "equal" the left macro-state's reading, for "subset" the a-state's
+    edges as they are, so each a-edge leads to its own pair.  For
+    intervals that is a sweep: one bisection per left atom into the right
+    side's atoms, sorted once per macro-state, and one step per piece; for
+    truth tables one AND per pair of edges.  Each non-empty meet counts
+    one sat call and one conjunction built, and no join is made.  Every
+    pair keeps only its first parent and the label that reached it, so
+    the witnesses of the labels on the path to the first bad pair form a
+    shortest word.
     """
     if mode not in ("subset", "equal"):
         raise ValueError(f"mode must be 'subset' or 'equal', got {mode!r}")
@@ -414,27 +414,13 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
 
     def step(pair):
         x, y = pair
-        lefts = left.fast(x) if equal else left.edges(*x)
-        rights = right.fast(y)
-        if lefts is not None and rights is not None:
-            for x2, y2, m in rights.split(lefts.edges if equal else lefts):
-                counters.sat_calls += 1
-                counters.conj_built += 1
-                target = (x2, y2)
-                if (x2 or y2) and target not in seen:
-                    seen.add(target)
-                    yield m, target
-            return
-        lm = [move for q in x for move in left.moves(q)]
-        rm = [move for q in y for move in right.moves(q)]
-        for mask, m in _minterms(binding, lm + rm, counters):
-            y2 = tuple(sorted(_targets(rm, mask)))
-            xs = tuple(sorted(_targets(lm, mask >> len(rm))))
-            for x2 in (xs,) if equal else map(left.single, xs):
-                target = (x2, y2)
-                if (x2 or y2) and target not in seen:
-                    seen.add(target)
-                    yield m, target
+        for x2, y2, m in right.det(y).split(left.det(x).edges if equal else left.edges(*x)):
+            counters.sat_calls += 1
+            counters.conj_built += 1
+            target = (x2, y2)
+            if (x2 or y2) and target not in seen:
+                seen.add(target)
+                yield m, target
 
     keys, edges = _explore(start, step, bad)
     if not bad(keys[-1]):
@@ -453,10 +439,10 @@ class _Side:
     construction, read on demand.
 
     Caches live as long as the call: each state's edges are denoted the
-    first time the call steps from it, as a tuple.  A lone state's
-    splitter (fast) holds the same edges plus the residual and, for
-    intervals, the state's atoms sorted once, on its first visit; moves
-    holds the complements only _minterms needs.
+    first time the call steps from it, as a tuple; moves holds the
+    complements only _minterms needs.  det reads a macro-state as a
+    deterministic state, once, on its first visit: the one reading
+    determinize and counterexample share.
     """
 
     def __init__(self, a: Sfa, counters: OpCounters):
@@ -466,18 +452,17 @@ class _Side:
         self._single = {}
         self._edges = {}
         self._moves = {}
-        self._fast = {(): a.binding.splitter((), ())}
-
-    def single(self, q):
-        """The macro-state (q,), one tuple per state."""
-        return self._single.setdefault(q, (q,))
+        self._det = {(): a.binding.splitter((), ())}
 
     def edges(self, q):
-        """q's edges as (singleton target macro-state, denotation)."""
+        """q's edges as (singleton target macro-state, denotation), one
+        macro-state tuple per target state."""
         es = self._edges.get(q)
         if es is None:
-            denote, single = self.binding.denote, self.single
-            es = self._edges[q] = tuple([(single(t.dst), denote(t.pred)) for t in self.out[q]])
+            denote, single = self.binding.denote, self._single.setdefault
+            es = self._edges[q] = tuple(
+                [(single(t.dst, (t.dst,)), denote(t.pred)) for t in self.out[q]]
+            )
         return es
 
     def moves(self, q):
@@ -491,15 +476,26 @@ class _Side:
             ]
         return ms
 
-    def fast(self, macro):
-        """The splitter (AlgebraBinding.splitter) of the empty macro-state,
-        whose lone edge takes every letter back to itself, or of a lone
-        state whose edges are pairwise disjoint, its residual leading to
-        the empty macro-state; None otherwise.  A state with two edges or
-        more costs one overlap test, counted as a sat call."""
-        fast = self._fast
-        if macro not in fast:
-            fast[macro] = None
+    def det(self, macro):
+        """The splitter (AlgebraBinding.splitter) of a macro-state read as
+        one deterministic state, its residual leading to (), whose lone
+        edge loops.  A lone state with pairwise disjoint edges costs one
+        overlap test; any other macro-state one _minterms search over its
+        members' moves, each minterm that takes a move an edge to the
+        sorted tuple of the states those moves reach."""
+        s = self._det.get(macro)
+        if s is None:
+            binding = self.binding
             if len(macro) == 1:
-                fast[macro] = self.binding.splitter(self.edges(*macro), (), self.counters)
-        return fast[macro]
+                s = binding.splitter(self.edges(*macro), (), self.counters)
+            if s is None:
+                moves = [move for q in macro for move in self.moves(q)]
+                takes = list(enumerate(reversed(moves)))  # bit j of a mask takes moves[-1 - j]
+                edges = [
+                    (tuple(sorted({m[0] for j, m in takes if mask >> j & 1})), x)
+                    for mask, x in _minterms(binding, moves, self.counters)
+                    if mask
+                ]
+                s = binding.splitter(edges, ())
+            self._det[macro] = s
+        return s

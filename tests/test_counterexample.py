@@ -20,10 +20,12 @@ from collections import Counter
 import pytest
 
 from symfa import (
+    FALSE,
     BindingMismatch,
     OpCounters,
     ProductMode,
     Sfa,
+    Transition,
     complete,
     counterexample,
     equivalent,
@@ -36,6 +38,7 @@ from symfa import (
 from symfa import operations
 from symfa.algebra import IntervalBinding, PropositionalBinding
 from symfa.oracle import separating_word
+from symfa.sfa import rename_states
 from genlib import (
     add_unsat_edge,
     cut_interval_dfa,
@@ -159,6 +162,47 @@ def test_each_edge_is_denoted_at_most_once_per_call(monkeypatch):
             run()
             allowed = Counter(id(t.pred) for t in edges)
             assert all(n <= allowed[p] for p, n in calls.items())
+
+
+def test_each_macro_state_is_searched_alone_and_once_per_call(monkeypatch):
+    """Every _minterms search reads the moves of one input's states, and no
+    call searches the same macro-state twice.  Each state gets an
+    unsatisfiable self-loop, so two macro-states never read the same
+    moves, and b's states are renamed apart from a's."""
+    searches = []
+    minterms = operations._minterms
+
+    def recorded(binding, moves, counters):
+        searches.append(moves)
+        return minterms(binding, moves, counters)
+
+    def looped(a, prefix):
+        loops = tuple(Transition(q, FALSE, q) for q in a.states)
+        a = Sfa(a.binding, a.states, a.initial, a.accepting, a.transitions + loops)
+        return rename_states(a, {q: prefix + q for q in a.states})
+
+    monkeypatch.setattr(operations, "_minterms", recorded)
+    rng = random.Random(241)
+    total = 0
+    for i in range(200):
+        make = interval_input if i % 2 else prop_input
+        a, b = looped(make(rng), "a."), looped(make(rng), "b.")
+        runs = (
+            lambda: includes(a, b),
+            lambda: includes(b, a),
+            lambda: equivalent(a, b),
+            lambda: counterexample(b, a),
+        )
+        for run in runs:
+            searches.clear()
+            run()
+            total += len(searches)
+            keys = [tuple(map(id, moves)) for moves in searches]
+            assert len(set(keys)) == len(keys)
+            for moves in searches:
+                targets = {m[0] for m in moves}
+                assert targets <= set(a.states) or targets <= set(b.states)
+    assert total  # the inputs hold macro-states the splitter cannot read alone
 
 
 def pair_bound(a, b, left_stuck):

@@ -409,9 +409,10 @@ def test_signature_blocks_read_a_sink_and_refuse_overlapping_edges():
     )
     c = OpCounters()
     block, letters = _signature_blocks(a, c)
-    # q2 is reached by an unsatisfiable edge only; the sink (None) comes last
-    assert list(block) == ["q0", "q1", "q2", None]
-    assert block["q2"] == block[None] != block["q0"]
+    # q2 is reached by an unsatisfiable edge only, so it is not refined;
+    # the sink (None) comes last
+    assert list(block) == ["q0", "q1", None]
+    assert block[None] != block["q0"]
     assert c.sat_calls == len(a.transitions) + 1  # one overlap test, at q0
     overlapping = Transition("dead", ia(3, 8), "q0")
     b = Sfa(a.binding, a.states, a.initial, a.accepting, a.transitions + (overlapping,))
@@ -472,6 +473,32 @@ def test_minimize_matches_distinguishable_class_count():
         a = rand_det_prop_sfa(rng, complete=True)
         mini = minimize(a)
         assert len(mini.states) == mn_class_count(concretize(a))
+
+
+@pytest.mark.parametrize(
+    "binding, unsat",
+    [
+        (interval_binding(), mk_and([ia(0, 1), ia(5, 6)])),
+        (propositional_binding(["p1"]), mk_and([lit(0), lit(0, neg=True)])),
+    ],
+    ids=["interval", "propositional"],
+)
+def test_minimize_drops_states_only_an_unsatisfiable_edge_reaches(binding, unsat):
+    a = Sfa(
+        binding,
+        ("q0", "q1"),
+        "q0",
+        {"q0"},
+        (
+            Transition("q0", TRUE, "q0"),
+            Transition("q0", unsat, "q1"),
+            Transition("q1", TRUE, "q1"),
+        ),
+    )
+    mini = minimize(a)
+    assert len(mini.states) == mn_class_count(concretize(a, representatives(a))) == 1
+    assert mini.transitions == (Transition("{q0}", TRUE, "{q0}"),)
+    assert oracle_equal(mini, a)
 
 
 def test_minimize_properties():
