@@ -6,6 +6,9 @@ and output, algebra-work counters, wall time); --json switches it to one
 machine-readable object.  Decision subcommands also signal their answer
 through the exit status, true -> 0 and false -> 1, so shell pipelines can
 branch on it; any error exits 2.
+
+`COMMANDS` is the one list of subcommands: it builds the parser, and
+`_dispatch` runs each entry along the same path.
 """
 
 import argparse
@@ -20,78 +23,6 @@ from .errors import FormatError, SfaError
 from .operations import ProductMode
 from .serialize import emit_sfa, parse_sfa
 from .sfa import membership, size_triple, validate
-
-TRANSFORMS = {
-    "neat": (transforms.to_neat, "expand predicates into basic transitions"),
-    "normalize": (transforms.to_normalized, "merge parallel edges into disjunctions"),
-    "feasible": (transforms.to_feasible, "drop unsatisfiable transitions"),
-    "complete": (transforms.complete, "add a sink for uncovered letters"),
-    "determinize": (operations.determinize, "subset construction with minterms"),
-    "minimize": (operations.minimize, "merge indistinguishable states"),
-    "complement": (operations.complement, "accept exactly the rejected words"),
-    "canon-neat": (
-        transforms.canonical_minimal_neat,
-        "canonical minimal neat form (interval algebra)",
-    ),
-    "canon-norm": (
-        transforms.canonical_minimal_normalized,
-        "canonical minimal normalized form (interval algebra)",
-    ),
-}
-
-PRODUCTS = {
-    "intersect": (ProductMode.INTERSECT, "product accepting the intersection"),
-    "union": (ProductMode.UNION, "product accepting the union"),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symfa",
-        description="symbolic finite automata over interval and propositional algebras",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable report")
-
-    def one(name, help_text, parents=(common,)):
-        sp = sub.add_parser(name, help=help_text, parents=list(parents))
-        sp.add_argument("sfa", help="input SFA file")
-        return sp
-
-    def two(name, help_text):
-        sp = sub.add_parser(name, help=help_text, parents=[common])
-        sp.add_argument("a", help="first SFA file")
-        sp.add_argument("b", help="second SFA file")
-        return sp
-
-    one("validate", "check the file against the format invariants")
-    one("metrics", "report the size triple n, m, l")
-    for name, (_, help_text) in TRANSFORMS.items():
-        sp = one(name, help_text)
-        sp.add_argument("--out", required=True, help="where to write the resulting SFA")
-    for name, (_, help_text) in PRODUCTS.items():
-        sp = two(name, help_text)
-        sp.add_argument("--out", required=True, help="where to write the resulting SFA")
-    sp = one("member", "decide whether a word is accepted")
-    sp.add_argument(
-        "--word",
-        required=True,
-        help="comma-separated letters: integers, or 0/1 strings like 101; empty for the empty word",
-    )
-    sp = one("empty", "decide language emptiness")
-    sp.add_argument(
-        "--assume-feasible",
-        action="store_true",
-        help="skip satisfiability checks during the reachability search",
-    )
-    two("include", "decide language inclusion of the first file in the second")
-    two("equiv", "decide language equality")
-    sp = one("dot", "export Graphviz DOT")
-    sp.add_argument("--out", help="write DOT here instead of standard output")
-    two("debug-equal", "brute-force equality over an enumerated alphabet")
-    two("debug-subset", "brute-force inclusion over an enumerated alphabet")
-    return parser
 
 
 def _read(path: str):
@@ -137,7 +68,113 @@ def _parse_word(raw: str, binding):
     return letters
 
 
-def _report(args, op, inputs, output, counters, ms, result):
+class Command:
+    """One subcommand: its help, the positional SFA files it reads (name to
+    help, each read by `load`), one more argument as a flag and argparse
+    keywords, and `step`, the library call the report's `ms` times.  The
+    step takes the loaded automata, the values `operands` derives before the
+    clock starts, and the counters.  A command with `--out` writes what its
+    step returns, an automaton or DOT text, and reports where it went; any
+    other reports the step's value and exits 1 when `ok` of it is false."""
+
+    def __init__(self, help_text, files, extra, step, ok=lambda result: True, load=_load,
+                 operands=lambda args, *inputs: ()):
+        self.help, self.files, self.extra, self.step = help_text, files, extra, step
+        self.ok, self.load, self.operands = ok, load, operands
+
+
+ONE = {"sfa": "input SFA file"}
+TWO = {"a": "first SFA file", "b": "second SFA file"}
+OUT = ("--out", {"required": True, "help": "where to write the resulting SFA"})
+WORD = ("--word", {
+    "required": True,
+    "help": "comma-separated letters: integers, or 0/1 strings like 101; empty for the empty word",
+})
+ASSUME_FEASIBLE = ("--assume-feasible", {
+    "action": "store_true",
+    "help": "skip satisfiability checks during the reachability search",
+})
+DOT_OUT = ("--out", {"help": "write DOT here instead of standard output"})
+
+
+def _answer(result) -> bool:
+    return result is True
+
+
+def _brute_force(a, b, mode):
+    """The oracle's answer: True, or a shortest word that separates a and b."""
+    witness = oracle.separating_word(a, b, oracle.representatives(a, b), mode=mode)
+    if witness is None:
+        return True
+    return [list(x) if isinstance(x, tuple) else x for x in witness]
+
+
+# Steps name library functions inside their bodies, so those are looked up
+# when a command runs, not when this table is built.
+COMMANDS = {
+    "validate": Command("check the file against the format invariants", ONE, None,
+                        lambda a, c: validate(a), ok=lambda issues: not issues, load=_read),
+    "metrics": Command("report the size triple n, m, l", ONE, None,
+                       lambda a, c: size_triple(a).as_dict()),
+    "neat": Command("expand predicates into basic transitions", ONE, OUT,
+                    lambda a, c: transforms.to_neat(a, c)),
+    "normalize": Command("merge parallel edges into disjunctions", ONE, OUT,
+                         lambda a, c: transforms.to_normalized(a, c)),
+    "feasible": Command("drop unsatisfiable transitions", ONE, OUT,
+                        lambda a, c: transforms.to_feasible(a, c)),
+    "complete": Command("add a sink for uncovered letters", ONE, OUT,
+                        lambda a, c: transforms.complete(a, c)),
+    "determinize": Command("subset construction with minterms", ONE, OUT,
+                           lambda a, c: operations.determinize(a, c)),
+    "minimize": Command("merge indistinguishable states", ONE, OUT,
+                        lambda a, c: operations.minimize(a, c)),
+    "complement": Command("accept exactly the rejected words", ONE, OUT,
+                          lambda a, c: operations.complement(a, c)),
+    "canon-neat": Command("canonical minimal neat form (interval algebra)", ONE, OUT,
+                          lambda a, c: transforms.canonical_minimal_neat(a, c)),
+    "canon-norm": Command("canonical minimal normalized form (interval algebra)", ONE, OUT,
+                          lambda a, c: transforms.canonical_minimal_normalized(a, c)),
+    "intersect": Command("product accepting the intersection", TWO, OUT,
+                         lambda a, b, c: operations.product(a, b, ProductMode.INTERSECT, c)),
+    "union": Command("product accepting the union", TWO, OUT,
+                     lambda a, b, c: operations.product(a, b, ProductMode.UNION, c)),
+    "member": Command("decide whether a word is accepted", ONE, WORD,
+                      lambda a, word, c: membership(a, word, c), _answer,
+                      operands=lambda args, a: [_parse_word(args.word, a.binding)]),
+    "empty": Command("decide language emptiness", ONE, ASSUME_FEASIBLE,
+                     lambda a, assume_feasible, c: operations.is_empty(a, assume_feasible, c),
+                     _answer, operands=lambda args, a: [args.assume_feasible]),
+    "include": Command("decide language inclusion of the first file in the second", TWO, None,
+                       lambda a, b, c: operations.includes(a, b, c), _answer),
+    "equiv": Command("decide language equality", TWO, None,
+                     lambda a, b, c: operations.equivalent(a, b, c), _answer),
+    "dot": Command("export Graphviz DOT", ONE, DOT_OUT, lambda a, c: export_dot(a)),
+    "debug-equal": Command("brute-force equality over an enumerated alphabet", TWO, None,
+                           lambda a, b, c: _brute_force(a, b, "equal"), _answer),
+    "debug-subset": Command("brute-force inclusion over an enumerated alphabet", TWO, None,
+                            lambda a, b, c: _brute_force(a, b, "subset"), _answer),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="symfa",
+        description="symbolic finite automata over interval and propositional algebras",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.add_argument("--json", action="store_true", help="machine-readable report")
+        for file_arg, help_text in cmd.files.items():
+            sp.add_argument(file_arg, help=help_text)
+        if cmd.extra:
+            flag, kwargs = cmd.extra
+            sp.add_argument(flag, **kwargs)
+    return parser
+
+
+def _report(args, stream, inputs, output, counters, ms, result):
+    op = args.cmd
     payload = {
         "op": op,
         "inputs": [size_triple(x).as_dict() for x in inputs],
@@ -146,7 +183,6 @@ def _report(args, op, inputs, output, counters, ms, result):
         "ms": round(ms, 3),
         "result": result,
     }
-    stream = sys.stderr if getattr(args, "_report_to_stderr", False) else sys.stdout
     if args.json:
         print(json.dumps(payload), file=stream)
         return
@@ -181,97 +217,34 @@ def _write(path: str, text: str):
 
 
 def _dispatch(args) -> int:
-    cmd = args.cmd
+    cmd = COMMANDS[args.cmd]
+    inputs = [cmd.load(getattr(args, file_arg)) for file_arg in cmd.files]
+    operands = cmd.operands(args, *inputs)
     counters = OpCounters()
-    if cmd == "validate":
-        a = _read(args.sfa)
-        t0 = time.perf_counter()
-        issues = validate(a)
-        _report(args, cmd, [a], None, counters, _ms(t0), issues)
-        return 0 if not issues else 1
-    if cmd == "metrics":
-        a = _load(args.sfa)
-        t0 = time.perf_counter()
-        triple = size_triple(a)
-        _report(args, cmd, [a], None, counters, _ms(t0), triple.as_dict())
-        return 0
-    if cmd in TRANSFORMS:
-        fn = TRANSFORMS[cmd][0]
-        a = _load(args.sfa)
-        t0 = time.perf_counter()
-        out = fn(a, counters)
-        ms = _ms(t0)
-        _write(args.out, emit_sfa(out))
-        _report(args, cmd, [a], out, counters, ms, args.out)
-        return 0
-    if cmd in PRODUCTS:
-        mode = PRODUCTS[cmd][0]
-        a, b = _load(args.a), _load(args.b)
-        t0 = time.perf_counter()
-        out = operations.product(a, b, mode, counters)
-        ms = _ms(t0)
-        _write(args.out, emit_sfa(out))
-        _report(args, cmd, [a, b], out, counters, ms, args.out)
-        return 0
-    if cmd == "member":
-        a = _load(args.sfa)
-        word = _parse_word(args.word, a.binding)
-        t0 = time.perf_counter()
-        res = membership(a, word, counters)
-        _report(args, cmd, [a], None, counters, _ms(t0), res)
-        return 0 if res else 1
-    if cmd == "empty":
-        a = _load(args.sfa)
-        t0 = time.perf_counter()
-        res = operations.is_empty(a, assume_feasible=args.assume_feasible, counters=counters)
-        _report(args, cmd, [a], None, counters, _ms(t0), res)
-        return 0 if res else 1
-    if cmd in ("include", "equiv"):
-        a, b = _load(args.a), _load(args.b)
-        t0 = time.perf_counter()
-        if cmd == "include":
-            res = operations.includes(a, b, counters)
-        else:
-            res = operations.equivalent(a, b, counters)
-        _report(args, cmd, [a, b], None, counters, _ms(t0), res)
-        return 0 if res else 1
-    if cmd == "dot":
-        a = _load(args.sfa)
-        t0 = time.perf_counter()
-        text = export_dot(a)
-        ms = _ms(t0)
+    t0 = time.perf_counter()
+    value = cmd.step(*inputs, *operands, counters)
+    ms = (time.perf_counter() - t0) * 1000.0
+    output, stream = None, sys.stdout
+    if "out" in args:
+        # the value is an automaton or DOT text; the result says where it went
+        if not isinstance(value, str):
+            output, value = value, emit_sfa(value)
         if args.out:
-            _write(args.out, text)
-            _report(args, cmd, [a], None, counters, ms, args.out)
+            _write(args.out, value)
         else:
             # keep standard output byte-clean for the DOT text
-            args._report_to_stderr = True
-            sys.stdout.write(text)
-            _report(args, cmd, [a], None, counters, ms, "-")
-        return 0
-    if cmd in ("debug-equal", "debug-subset"):
-        a, b = _load(args.a), _load(args.b)
-        t0 = time.perf_counter()
-        mode = "equal" if cmd == "debug-equal" else "subset"
-        witness = oracle.separating_word(a, b, oracle.representatives(a, b), mode=mode)
-        res = True if witness is None else [list(x) if isinstance(x, tuple) else x for x in witness]
-        _report(args, cmd, [a, b], None, counters, _ms(t0), res)
-        return 0 if witness is None else 1
-    raise SfaError(f"unknown command {cmd!r}")
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
+            sys.stdout.write(value)
+            stream = sys.stderr
+        value = args.out or "-"
+    _report(args, stream, inputs, output, counters, ms, value)
+    return 0 if cmd.ok(value) else 1
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SfaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as e:
+    except (SfaError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

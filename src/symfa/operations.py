@@ -10,12 +10,14 @@ per-state signatures.  Neat inputs produce neat outputs throughout:
 interval negation expands into atoms, propositional residuals into
 disjoint monomials.
 
-Each construction (minimize, product, subset construction) denotes each
-transition predicate it reads once, in its algebra's solved form (see
-algebra.py), and runs its emptiness tests on those denotations.  A
-denotation costs O(l) interval operations yielding at most 2l intervals,
-or O(l) big-int operations on 2^k-bit truth tables; each test after that
-is a merge of two interval lists or one AND of two truth tables.
+Each construction (minimize, product, subset construction) runs its
+emptiness tests on denotations, each transition predicate in its
+algebra's solved form (see algebra.py), and denotes each edge it reads
+once; union products and complement first check their input, and each
+check denotes the edges again.  A denotation costs O(l) interval
+operations yielding at most 2l intervals, or O(l) big-int operations on
+2^k-bit truth tables; each test after that is a merge of two interval
+lists or one AND of two truth tables.
 minimize reads a state's edges once, through AlgebraBinding.splitter,
 which answers the determinism check, the letters completion would add
 and the refinement's moves together.  A minimize round costs one join
@@ -78,8 +80,10 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     and requires deterministic complete inputs (a missing move in one
     component would silently drop words of the other).  Basic interval
     predicates conjoin into a single atom, so neat inputs give neat output.
-    Each component transition is denoted once, when the search first
-    steps from its state (_Side); a pair costs one meet.
+    The search denotes each component transition once, when it first
+    steps from its state (_Side); a pair costs one meet.  Union first
+    checks determinism and completeness, and each check denotes the edges
+    again: an edge is denoted up to three times.
     Pair states are explored breadth-first and named once each (see
     _state_names).  Duplicate edges are dropped: two edge pairs of one
     state pair can fold into the same interval atom.
@@ -139,7 +143,9 @@ def complement(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     Requires a deterministic automaton (otherwise a word can have both an
     accepting and a rejecting run).  Completion already ignores empty
     denotations; unsatisfiable transitions are dropped first only so that
-    the output is feasible.
+    the output is feasible.  The determinism check, that feasibility pass
+    and completion each denote the edges: an edge is denoted up to three
+    times.
     """
     counters = counters if counters is not None else OpCounters()
     if not is_deterministic(a, counters):
@@ -166,7 +172,9 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     is empty, so no pre-pass drops it; a macro-state's edges are disjoint
     and non-empty, so no edge repeats.  The sat calls are one overlap test
     per lone state with two edges or more, and the nodes of one pruned
-    search per other reachable macro-state.  Only the states some reachable
+    search per other reachable macro-state and per lone state whose test
+    fails: q -[0,10)-> r, q -[5,15)-> s costs 9 = 1 + 7 + 1, the last for
+    the search of {r,s}, which has no edges.  Only the states some reachable
     macro-state holds are denoted (_Side), each edge once.
     """
     counters = counters if counters is not None else OpCounters()
@@ -479,9 +487,10 @@ class _Side:
     def det(self, macro):
         """The splitter (AlgebraBinding.splitter) of a macro-state read as
         one deterministic state, its residual leading to (), whose lone
-        edge loops.  A lone state with pairwise disjoint edges costs one
-        overlap test; any other macro-state one _minterms search over its
-        members' moves, each minterm that takes a move an edge to the
+        edge loops.  A lone state with two edges or more costs one overlap
+        test, and when its edges overlap, that failed test and then a
+        _minterms search; any other macro-state one _minterms search over
+        its members' moves, each minterm that takes a move an edge to the
         sorted tuple of the states those moves reach."""
         s = self._det.get(macro)
         if s is None:

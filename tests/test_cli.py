@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from symfa import (
     product,
 )
 from symfa import operations
-from symfa.cli import main
+from symfa.cli import build_parser, main
 from symfa.oracle import separating_word
 from symfa.serialize import MAX_PRED_DEPTH
 from conftest import DATA
@@ -315,3 +316,62 @@ def test_unexpected_exception_exits_2_not_1(capsys, monkeypatch):
     code, _, err = run(capsys, "equiv", TWO_STATE, TWO_STATE)
     assert code == 2
     assert err.startswith("error: unexpected KeyError")
+
+
+JSON_OPT = (("--json",), "json", False, False, "machine-readable report")
+SFA_ARG = ((), "sfa", True, None, "input SFA file")
+TWO_ARGS = [((), "a", True, None, "first SFA file"), ((), "b", True, None, "second SFA file")]
+OUT_OPT = (("--out",), "out", True, None, "where to write the resulting SFA")
+WORD_HELP = "comma-separated letters: integers, or 0/1 strings like 101; empty for the empty word"
+
+
+def parser_surface():
+    """Each subcommand, in order, with its help and every argument but -h as
+    (option strings, dest, required, default, help), read off the parser's
+    actions rather than its --help text, whose layout varies by version."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return [
+        (name, helps[name], [
+            (tuple(a.option_strings), a.dest, a.required, a.default, a.help)
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, sp in sub.choices.items()
+    ]
+
+
+def test_parser_surface_is_pinned():
+    def one(*extra):
+        return [JSON_OPT, SFA_ARG, *extra]
+
+    def two(*extra):
+        return [JSON_OPT, *TWO_ARGS, *extra]
+
+    assert parser_surface() == [
+        ("validate", "check the file against the format invariants", one()),
+        ("metrics", "report the size triple n, m, l", one()),
+        ("neat", "expand predicates into basic transitions", one(OUT_OPT)),
+        ("normalize", "merge parallel edges into disjunctions", one(OUT_OPT)),
+        ("feasible", "drop unsatisfiable transitions", one(OUT_OPT)),
+        ("complete", "add a sink for uncovered letters", one(OUT_OPT)),
+        ("determinize", "subset construction with minterms", one(OUT_OPT)),
+        ("minimize", "merge indistinguishable states", one(OUT_OPT)),
+        ("complement", "accept exactly the rejected words", one(OUT_OPT)),
+        ("canon-neat", "canonical minimal neat form (interval algebra)", one(OUT_OPT)),
+        ("canon-norm", "canonical minimal normalized form (interval algebra)", one(OUT_OPT)),
+        ("intersect", "product accepting the intersection", two(OUT_OPT)),
+        ("union", "product accepting the union", two(OUT_OPT)),
+        ("member", "decide whether a word is accepted",
+         one((("--word",), "word", True, None, WORD_HELP))),
+        ("empty", "decide language emptiness",
+         one((("--assume-feasible",), "assume_feasible", False, False,
+              "skip satisfiability checks during the reachability search"))),
+        ("include", "decide language inclusion of the first file in the second", two()),
+        ("equiv", "decide language equality", two()),
+        ("dot", "export Graphviz DOT",
+         one((("--out",), "out", False, None, "write DOT here instead of standard output"))),
+        ("debug-equal", "brute-force equality over an enumerated alphabet", two()),
+        ("debug-subset", "brute-force inclusion over an enumerated alphabet", two()),
+    ]

@@ -235,6 +235,22 @@ def test_determinize_splits_overlap_into_minterms():
     assert set(d.transitions) == expected
 
 
+def test_lone_state_with_overlapping_edges_pays_a_failed_test_then_its_search():
+    a = Sfa(
+        interval_binding(),
+        ("q", "r", "s"),
+        "q",
+        set(),
+        (Transition("q", ia(0, 10), "r"), Transition("q", ia(5, 15), "s")),
+    )
+    c = OpCounters()
+    d = determinize(a, c)
+    assert set(d.states) == {"{q}", "{r}", "{s}", "{r,s}"}
+    # q: one failed overlap test, then 7 nodes (root, 2 at depth 1, 4 leaves);
+    # {r} and {s} have no edges to test; {r,s}'s search is one empty root
+    assert (c.sat_calls, c.conj_built) == (1 + 7 + 1, 6)
+
+
 
 def _reference_minterms(b, dens, counters):
     """Recursive include/exclude search, include first: the non-empty
@@ -439,22 +455,30 @@ def test_minimize_and_canonical_forms_denote_each_edge_at_most_once(monkeypatch)
         for name in ("complete", "is_deterministic"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    rng = random.Random(239)
+    # b, product's second input, draws from its own generator, so a's
+    # inputs do not depend on it
+    rng, other = random.Random(239), random.Random(241)
     for i in range(160):
         complete = rng.random() < 0.5
         if i % 2:
             a = rand_det_interval_sfa(rng, complete=complete, neat=rng.random() < 0.5)
+            b = rand_det_interval_sfa(other, complete=other.random() < 0.5)
             runs = (minimize, canonical_minimal_neat, canonical_minimal_normalized)
         else:
             a = rand_det_prop_sfa(rng, k=3, complete=complete)
+            b = rand_det_prop_sfa(other, k=3, complete=other.random() < 0.5)
             runs = (minimize,)
         if rng.random() < 0.4:
             a = rewrite(rng, a, rounds=2)
         allowed = Counter(id(t.pred) for t in a.transitions)
-        for run in runs:
+        for run in runs + (determinize,):
             calls.clear()
             run(a)
             assert all(n <= allowed[p] for p, n in calls.items())
+        calls.clear()
+        product(a, b, ProductMode.INTERSECT)
+        allowed.update(id(t.pred) for t in b.transitions)
+        assert all(n <= allowed[p] for p, n in calls.items())
 
 
 def test_minimize_requires_deterministic():
