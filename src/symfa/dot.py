@@ -62,16 +62,16 @@ def _quote(s: str) -> str:
 
 def export_dot(a: Sfa) -> str:
     index = {q: i for i, q in enumerate(a.states)}
+    quoted = [_quote(q) for q in a.states]
     lines = ["digraph sfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    for q in a.states:
+    for q, name in zip(a.states, quoted):
         shape = "doublecircle" if q in a.accepting else "circle"
-        lines.append(f"  {_quote(q)} [shape={shape}];")
+        lines.append(f"  {name} [shape={shape}];")
     lines.append(f"  __start -> {_quote(a.initial)};")
     labeled = [
-        (index[t.src], index[t.dst], pretty_pred(t.pred, a.binding), t.src, t.dst)
-        for t in a.transitions
+        (index[t.src], index[t.dst], pretty_pred(t.pred, a.binding)) for t in a.transitions
     ]
-    for _, _, label, src, dst in sorted(labeled, key=lambda e: e[:3]):
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(label)}];")
+    for src, dst, label in sorted(labeled):
+        lines.append(f"  {quoted[src]} -> {quoted[dst]} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

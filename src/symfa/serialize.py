@@ -6,8 +6,14 @@ Predicates: "true", "false", {"and": [...]}, {"or": [...]}, {"not": ...},
 {"atom": {"lo": int|"-inf", "hi": int|"inf"}} for intervals,
 {"atom": {"var": "<name>", "neg": bool}} for propositions.  Unknown fields
 are rejected; errors carry the JSON path (and line/column for syntax).
+
+emit_sfa writes exactly json.dumps(doc, indent=2, ensure_ascii=False) plus
+a newline, with keys in the order algebra, states, initial, accepting
+(sorted), transitions and, per transition, from, pred, to; it writes that
+text itself in one walk of each predicate.
 """
 
+import functools
 import json
 
 from .algebra import AlgebraBinding, interval_binding, propositional_binding
@@ -24,10 +30,6 @@ from .predicates import (
     POS_INF,
     Predicate,
     TRUE,
-    _FalsePred,
-    _TruePred,
-    mk_and,
-    mk_or,
 )
 from .sfa import Sfa, Transition
 
@@ -174,39 +176,53 @@ def _parse_bound(v, word, sentinel, path):
 
 
 def emit_sfa(a: Sfa) -> str:
-    doc = {
-        "algebra": _emit_algebra(a.binding),
-        "states": list(a.states),
-        "initial": a.initial,
-        "accepting": sorted(a.accepting),
-        "transitions": [
-            {"from": t.src, "pred": emit_pred(t.pred, a.binding), "to": t.dst}
-            for t in a.transitions
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The file's text in the layout above; each name is quoted once per call."""
+    quote = functools.cache(functools.partial(json.dumps, ensure_ascii=False))
+    if a.binding.is_monotonic:
+        props, algebra = [], '"interval"'
+    else:
+        props = [quote(p) for p in a.binding.props]
+        algebra = f'{{\n    "kind": "propositional",\n    "props": {_list(props, 4)}\n  }}'
+    out = [
+        f'{{\n  "algebra": {algebra},\n  "states": {_list([quote(q) for q in a.states], 2)},'
+        f'\n  "initial": {quote(a.initial)},'
+        f'\n  "accepting": {_list([quote(q) for q in sorted(a.accepting)], 2)},\n  "transitions": ['
+    ]
+    for i, t in enumerate(a.transitions):
+        out.append(f'{"," if i else ""}\n    {{\n      "from": {quote(t.src)},\n      "pred": ')
+        _emit_pred(t.pred, props, out, "\n      ")
+        out.append(f',\n      "to": {quote(t.dst)}\n    }}')
+    out.append("\n  ]\n}\n" if a.transitions else "]\n}\n")
+    return "".join(out)
 
 
-def _emit_algebra(binding: AlgebraBinding):
-    if binding.is_monotonic:
-        return "interval"
-    return {"kind": "propositional", "props": list(binding.props)}
+def _list(items, indent):
+    """A list of literals whose opening bracket ends a line indented by indent."""
+    nl = "\n" + " " * indent
+    return "[" + nl + "  " + ("," + nl + "  ").join(items) + nl + "]" if items else "[]"
 
 
-def emit_pred(p: Predicate, binding: AlgebraBinding):
-    if isinstance(p, _TruePred):
-        return "true"
-    if isinstance(p, _FalsePred):
-        return "false"
-    if isinstance(p, And):
-        return {"and": [emit_pred(c, binding) for c in p.children]}
-    if isinstance(p, Or):
-        return {"or": [emit_pred(c, binding) for c in p.children]}
-    if isinstance(p, Not):
-        return {"not": emit_pred(p.child, binding)}
-    atom = p.payload
-    if isinstance(atom, IntervalAtom):
-        lo = "-inf" if atom.lo == NEG_INF else atom.lo
-        hi = "inf" if atom.hi == POS_INF else atom.hi
-        return {"atom": {"lo": lo, "hi": hi}}
-    return {"atom": {"var": binding.prop_name(atom.var), "neg": atom.negated}}
+def _emit_pred(p: Predicate, props, out, nl):
+    """Append p's text; nl is a newline plus the indent of p's first line."""
+    if isinstance(p, Atom):
+        atom, inner = p.payload, nl + "    "
+        if isinstance(atom, IntervalAtom):
+            lo = '"-inf"' if atom.lo == NEG_INF else int.__repr__(atom.lo)
+            hi = '"inf"' if atom.hi == POS_INF else int.__repr__(atom.hi)
+            body = f'"lo": {lo},{inner}"hi": {hi}'
+        else:
+            body = f'"var": {props[atom.var]},{inner}"neg": {"true" if atom.negated else "false"}'
+        out.append(f'{{{nl}  "atom": {{{inner}{body}{nl}  }}{nl}}}')
+    elif isinstance(p, Not):
+        out.append(f'{{{nl}  "not": ')
+        _emit_pred(p.child, props, out, nl + "  ")
+        out.append(nl + "}")
+    elif isinstance(p, (And, Or)):
+        inner = nl + "    "
+        out.append(f'{{{nl}  "{"and" if isinstance(p, And) else "or"}": [')
+        for i, c in enumerate(p.children):
+            out.append("," + inner if i else inner)
+            _emit_pred(c, props, out, inner)
+        out.append(f"{nl}  ]{nl}}}")
+    else:
+        out.append({TRUE: '"true"', FALSE: '"false"'}[p])
