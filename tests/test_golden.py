@@ -1,11 +1,11 @@
 """Golden outputs: constructions must reproduce recorded files byte for byte.
 
 Each case runs one construction (determinize, complete, minimize, a
-product, or an interval canonical form) on a seeded genlib input in one
-algebra and compares the SHA-256
-of emit_sfa's text with the digest in data/golden_emit.json.  The digests
-pin predicates, state names and transition order, so a change to how the
-algebra decides emptiness cannot silently change what is built.
+product, complement, or an interval canonical form) on a seeded genlib
+input in one algebra and compares the SHA-256 of emit_sfa's text with
+the digest in data/golden_emit.json.  The digests pin predicates, state
+names and transition order, so a change to how the algebra decides
+emptiness cannot silently change what is built.
 
 Regenerate only when a construction's output is meant to change:
 
@@ -21,6 +21,7 @@ from symfa import (
     ProductMode,
     canonical_minimal_neat,
     canonical_minimal_normalized,
+    complement,
     complete,
     determinize,
     emit_sfa,
@@ -77,6 +78,8 @@ def outputs():
                 "minimize": minimize(det),
                 "intersect": product(a, b, ProductMode.INTERSECT),
                 "union": product(complete(da), complete(db), ProductMode.UNION),
+                "complement": complement(det),
+                "complement-determinized": complement(da),
             }
             if algebra == "interval":
                 for name, x in (("a", a), ("b", b), ("det", det)):
