@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from . import operations, oracle, transforms
+from . import operations, transforms
 from .algebra import OpCounters
 from .dot import export_dot
 from .errors import FormatError, SfaError
@@ -103,6 +103,8 @@ def _answer(result) -> bool:
 
 def _brute_force(a, b, mode):
     """The oracle's answer: True, or a shortest word that separates a and b."""
+    from . import oracle  # only the debug-* commands load it
+
     witness = oracle.separating_word(a, b, oracle.representatives(a, b), mode=mode)
     if witness is None:
         return True

@@ -10,29 +10,25 @@ per-state signatures.  Neat inputs produce neat outputs throughout:
 interval negation expands into atoms, propositional residuals into
 disjoint monomials.
 
-Each construction (minimize, product, subset construction) runs its
-emptiness tests on denotations, each transition predicate in its
-algebra's solved form (see algebra.py), and denotes each edge it reads
-once; union products and complement first check their input, and each
-check denotes the edges again.  A denotation costs O(l) interval
-operations yielding at most 2l intervals, or O(l) big-int operations on
-2^k-bit truth tables; each test after that is a merge of two interval
-lists or one AND of two truth tables.
-minimize reads a state's edges once, through AlgebraBinding.splitter,
-which answers the determinism check, the letters completion would add
-and the refinement's moves together.  A minimize round costs one join
-per state and target block, not one meet per pair of edges of two
-states.  product, determinize and counterexample read a state's edges
-through _Side when they first step from it; the last two read each
-macro-state through _Side.det, the one caller of _minterms.
+Every construction and counterexample reads its input through _Side, the
+one reading: each edge is denoted once per call, into its algebra's
+solved form (see algebra.py), and each state or macro-state is read once
+as a deterministic state (AlgebraBinding.splitter), which gives the
+overlap test, the letters no edge takes and the edges to meet, together.
+Readings count one sat call per overlap test and per _minterms node, none
+per denotation.  A denotation costs O(l) interval operations yielding at
+most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
+each test after that is a merge of two interval lists or one AND of two
+truth tables.  minimize, complement and union products read every state,
+reachable or not; the rest read a state when they first step from it.  A
+minimize round costs one join per state and target block, not one meet
+per pair of edges of two states.
 
 Inclusion and equivalence are decided on the fly and construct nothing:
 counterexample runs one breadth-first search over pairs of states or
-macro-states of the two inputs, reads a state's edges only when the
-search first steps from it, and stops at the first pair that answers the
-question.  Both sides of a pair are read by _Side.det as deterministic
-states and split in one pass (AlgebraBinding.splitter): for intervals an
-endpoint sweep, not one meet per pair of edges.
+macro-states of the two inputs and stops at the first pair that answers
+the question.  Both sides of a pair are split in one pass: for intervals
+an endpoint sweep, not one meet per pair of edges.
 """
 
 from enum import Enum
@@ -50,12 +46,12 @@ from .sfa import (
     Sfa,
     Transition,
     _explore,
+    _state_names,
+    _with_sink,
     dedupe_transitions,
     edges_by_pair,
-    is_complete,
-    is_deterministic,
+    fresh_state_name,
 )
-from .transforms import _state_names, complete, fresh_state_name, to_feasible
 
 
 class ProductMode(Enum):
@@ -81,22 +77,23 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     component would silently drop words of the other).  Basic interval
     predicates conjoin into a single atom, so neat inputs give neat output.
     The search denotes each component transition once, when it first
-    steps from its state (_Side); a pair costs one meet.  Union first
-    checks determinism and completeness, and each check denotes the edges
-    again: an edge is denoted up to three times.
+    steps from its state (_Side); a pair costs one meet.  Union first reads
+    every state, reachable or not, through _Side.state, which the search
+    then reuses: a None splitter is an overlap, a residual edge a missing
+    letter.
     Pair states are explored breadth-first and named once each (see
     _state_names).  Duplicate edges are dropped: two edge pairs of one
     state pair can fold into the same interval atom.
     """
     counters = counters if counters is not None else OpCounters()
     a.binding.check_same(b.binding)
-    if mode is ProductMode.UNION:
-        if not (is_deterministic(a, counters) and is_deterministic(b, counters)):
-            raise SfaError("union requires deterministic inputs")
-        if not (is_complete(a, counters) and is_complete(b, counters)):
-            raise SfaError("union requires complete inputs")
     left = _Side(a, counters)
     right = left if b is a else _Side(b, counters)
+    if mode is ProductMode.UNION:
+        if not (left.deterministic() and right.deterministic()):
+            raise SfaError("union requires deterministic inputs")
+        if any(len(s.state(q).edges) > len(ts) for s in (left, right) for q, ts in s.out.items()):
+            raise SfaError("union requires complete inputs")
 
     def step(pair):
         p, q = pair
@@ -141,16 +138,23 @@ def complement(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Swap accepting and rejecting states after completing.
 
     Requires a deterministic automaton (otherwise a word can have both an
-    accepting and a rejecting run).  Completion already ignores empty
-    denotations; unsatisfiable transitions are dropped first only so that
-    the output is feasible.  The determinism check, that feasibility pass
-    and completion each denote the edges: an edge is denoted up to three
-    times.
+    accepting and a rejecting run).  _Side.state reads each state once:
+    the determinism check, the empty denotations (their transitions are
+    dropped, so the output is feasible) and the residual, which
+    sfa._with_sink leads to a sink as transforms.complete does.
     """
     counters = counters if counters is not None else OpCounters()
-    if not is_deterministic(a, counters):
+    side = _Side(a, counters)
+    if not side.deterministic():
         raise NondeterministicInput("complement needs a deterministic automaton; determinize first")
-    c = complete(to_feasible(a, counters), counters)
+    residuals = []
+    for q, ts in side.out.items():
+        edges = side.state(q).edges
+        rest = edges[len(ts) :]
+        residuals.append((q, [t for t, (_, d) in zip(ts, edges) if d], rest and rest[0][1]))
+    feasible = {t for _, ts, _ in residuals for t in ts}
+    kept = [t for t in a.transitions if t in feasible]
+    c = _with_sink(Sfa(a.binding, a.states, a.initial, a.accepting, kept), residuals)
     return Sfa(c.binding, c.states, c.initial, frozenset(c.states) - c.accepting, c.transitions)
 
 
@@ -224,22 +228,26 @@ def _minterms(binding, moves, counters):
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Quotient by Moore partition refinement on block signatures.
 
-    _signature_blocks partitions the states satisfiable edges reach from the
-    initial state, plus a sink for the letters they leave out, reading each
-    state's edges once; it also finds any state, reachable or not, with two
-    edges that share a letter.  The quotient keeps one representative's
-    (lowest index) edges per block, less those into the sink's block or a
-    state not refined: verbatim for neat input (neat stays neat), merged per
-    target block otherwise.  The sink's block is removed again, so the
-    result never exceeds the input's state count; when it holds the initial
-    state it is the result's one state, named from its members, the sink by
-    fresh_state_name over the reachable states.
+    _Side.state reads every state, reachable or not, once, and refuses two
+    edges of one state that share a letter; _signature_blocks partitions
+    the states it reaches from the initial state and a sink.  The quotient
+    keeps one representative's (lowest index) edges per block, less those
+    into the sink's block or a state not refined: verbatim for neat input
+    (neat stays neat), merged per target block otherwise.  The sink's
+    block is removed again, so the result never exceeds the input's state
+    count; when it holds the initial state it is the result's one state,
+    named from its members, the sink by fresh_state_name over the
+    reachable states.
     """
     counters = counters if counters is not None else OpCounters()
-    refined = _signature_blocks(a, counters)
-    if refined is None:
+    side = _Side(a, counters)
+    if not side.deterministic():
         raise NondeterministicInput("minimize needs a deterministic automaton; determinize first")
-    block, _ = refined
+    refined, _ = _signature_blocks(side, (a.initial,), a.accepting)
+    # in state order, the sink keyed None and last
+    block = {q: refined[(q,)] for q in a.states if (q,) in refined}
+    if () in refined:
+        block[None] = refined[()]
     members = {}
     for q, b in block.items():
         members.setdefault(b, []).append(q)
@@ -254,7 +262,6 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     neat_input = all(
         classify(t.pred) is not PredicateClass.GENERAL for t in a.transitions if t.src in block
     )
-    out = a.out_map()
     edges = []
     kept = []
     for ms in blocks:
@@ -264,7 +271,7 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         kept.append(nm)
         rep_edges = [
             Transition(nm, t.pred, name_of[t.dst])
-            for t in out[ms[0]]
+            for t in side.out[ms[0]]
             if name_of.get(t.dst, dropped) != dropped
         ]
         if neat_input:
@@ -282,57 +289,41 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     )
 
 
-def _signature_blocks(a: Sfa, counters: OpCounters):
-    """Moore refinement by signature of a deterministic automaton, or None
-    when two edges of one of its states, reachable or not, share a letter.
+def _signature_blocks(side, start, accepting):
+    """Moore refinement of the macro-states side.det reaches from start by
+    non-empty edges, the empty one () a sink that takes the letters the
+    others leave out; for a deterministic input, its states and that sink.
 
-    Each edge is denoted once, one sat call per transition, and each
-    state's edges are readied by AlgebraBinding.splitter, one overlap test
-    (a sat call) per state with two edges or more; a None splitter is the
-    None answer.  The splitter leads the letters a state leaves out to one
-    residual edge into a sink, keyed None, whose one edge takes every
-    letter back to itself.  The states refined are therefore a complete
-    automaton's: the states reachable from a.initial along satisfiable
-    edges, in state order, then the sink when one of them has a residual.
-
-    Blocks start as rejecting (0) and accepting (1).  Each round a state's
-    signature is its block plus, per target block in ascending order, the
-    join of its non-empty outgoing denotations into that block (its
-    letter-to-block map); equal signatures share the next round's block, so
-    no two states are compared.  Refinement stops when the block count
-    stops growing.  Returns (state -> block, block -> its sorted (target
-    block, joined denotation) pairs), the second read off the last round's
-    signatures, which agree within each block.  Each signature counts one
-    disjunction per denotation joined into another.
+    Blocks start as rejecting (0) and accepting (1: holding a state of
+    accepting).  Each round a macro-state's signature is its block plus,
+    per target block in ascending order, the join of its denotations into
+    that block; equal signatures share the next round's block, so no two
+    macro-states are compared.  Refinement stops when the block count
+    stops growing.  Returns (macro-state -> block, block -> its sorted
+    (target block, joined denotation) pairs), the second read off the last
+    round's signatures, which agree within each block.  Each signature
+    counts one disjunction per denotation joined into another.
     """
-    binding = a.binding
-    join, denote = binding.join, binding.denote
-    counters.sat_calls += len(a.transitions)
-    edges = {}
-    for q, ts in a.out_map().items():
-        s = binding.splitter([(t.dst, denote(t.pred)) for t in ts], None, counters)
-        if s is None:
-            return None
-        edges[q] = s.edges
-    edges[None] = ((None, binding.full),)
-    reached = set(_explore(a.initial, lambda q: ((None, dst) for dst, d in edges[q] if d))[0])
-    states = [q for q in a.states if q in reached] + [None] * (None in reached)
-    moves = {q: [(dst, d) for dst, d in edges[q] if d] for q in states}
-    block = {q: int(q in a.accepting) for q in states}
-    count = len(set(block.values()))
+    join, counters = side.binding.join, side.counters
+    keys, edges = _explore(start, lambda m: ((d, dst) for dst, d in side.det(m).edges if d))
+    moves = [[] for _ in keys]
+    for i, d, j in edges:
+        moves[i].append((j, d))
+    block = [int(not accepting.isdisjoint(m)) for m in keys]
+    count = len(set(block))
 
-    def signature(q):
+    def signature(i):
         by_block = {}
-        for dst, d in moves[q]:
-            by_block.setdefault(block[dst], []).append(d)
-        counters.disj_built += len(moves[q]) - len(by_block)
-        return block[q], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
+        for j, d in moves[i]:
+            by_block.setdefault(block[j], []).append(d)
+        counters.disj_built += len(moves[i]) - len(by_block)
+        return block[i], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
 
     while True:
         ids = {}
-        refined = {q: ids.setdefault(signature(q), len(ids)) for q in states}
+        refined = [ids.setdefault(signature(i), len(ids)) for i in range(len(keys))]
         if len(ids) == count:
-            return block, {b: letters for b, letters in ids}
+            return dict(zip(keys, block)), {b: letters for b, letters in ids}
         block, count = refined, len(ids)
 
 
@@ -443,14 +434,13 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
 
 
 class _Side:
-    """One input of a counterexample search, a product or a subset
-    construction, read on demand.
+    """One input of a construction or a counterexample search, read on
+    demand.
 
     Caches live as long as the call: each state's edges are denoted the
-    first time the call steps from it, as a tuple; moves holds the
-    complements only _minterms needs.  det reads a macro-state as a
-    deterministic state, once, on its first visit: the one reading
-    determinize and counterexample share.
+    first time the call reads it, as a tuple; moves holds the complements
+    only _minterms needs.  state reads a state, and det a macro-state, as
+    a deterministic state, once, on its first visit.
     """
 
     def __init__(self, a: Sfa, counters: OpCounters):
@@ -460,6 +450,7 @@ class _Side:
         self._single = {}
         self._edges = {}
         self._moves = {}
+        self._states = {}
         self._det = {(): a.binding.splitter((), ())}
 
     def edges(self, q):
@@ -484,19 +475,29 @@ class _Side:
             ]
         return ms
 
+    def state(self, q):
+        """The splitter (AlgebraBinding.splitter) of q's edges, q's in order
+        plus any residual edge, to (); None when two of them share a letter."""
+        states = self._states
+        if q not in states:
+            states[q] = self.binding.splitter(self.edges(q), (), self.counters)
+        return states[q]
+
+    def deterministic(self):
+        """No state, reachable or not, has two edges that share a letter."""
+        return all(self.state(q) is not None for q in self.out)
+
     def det(self, macro):
-        """The splitter (AlgebraBinding.splitter) of a macro-state read as
-        one deterministic state, its residual leading to (), whose lone
-        edge loops.  A lone state with two edges or more costs one overlap
-        test, and when its edges overlap, that failed test and then a
-        _minterms search; any other macro-state one _minterms search over
-        its members' moves, each minterm that takes a move an edge to the
-        sorted tuple of the states those moves reach."""
+        """The splitter of a macro-state read as one deterministic state, its
+        residual leading to (), whose lone edge loops.  A lone state is read
+        by state, and when its edges overlap, like any other macro-state:
+        by one _minterms search over its members' moves, each minterm that
+        takes a move an edge to the sorted tuple of the states they reach."""
         s = self._det.get(macro)
         if s is None:
             binding = self.binding
             if len(macro) == 1:
-                s = binding.splitter(self.edges(*macro), (), self.counters)
+                s = self.state(*macro)
             if s is None:
                 moves = [move for q in macro for move in self.moves(q)]
                 takes = list(enumerate(reversed(moves)))  # bit j of a mask takes moves[-1 - j]

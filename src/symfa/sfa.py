@@ -4,17 +4,23 @@ An Sfa pairs a finite state graph with an algebra binding; each transition
 carries a predicate over that algebra, so one edge stands for every letter
 the predicate admits.  This module holds the data type, run semantics over
 words, the structural classifications (deterministic, complete, neat,
-normalized, feasible) and the size triple <n, m, l>.
+normalized, feasible), the size triple <n, m, l>, and what the
+constructions share: breadth-first exploration, state naming and the sink
+completion adds.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import AlgebraBinding, OpCounters
 from .predicates import (
+    TRUE,
     Predicate,
     PredicateClass,
     classify,
     iter_atoms,
+    mk_not,
+    mk_or,
     predicate_size,
 )
 
@@ -142,6 +148,29 @@ def _residuals(a: Sfa, counters: OpCounters | None = None):
         yield q, ts, binding.complement(binding.join([binding.denote(t.pred) for t in ts]))
 
 
+def _with_sink(a: Sfa, residuals) -> Sfa:
+    """a plus a fresh non-accepting sink taking each state's residual, from
+    (state, its transitions, residual) triples in state order; a itself
+    when every residual is empty.  Neat a stays neat (the residual's basic
+    predicates); otherwise a state's edge negates its predicates' union."""
+    if not any(residual for _, _, residual in residuals):
+        return a
+    sink = fresh_state_name(set(a.states), "sink")
+    neat = is_neat(a)
+    edges = []
+    for q, ts, residual in residuals:
+        if not residual:
+            continue
+        if neat:
+            edges.extend(Transition(q, p, sink) for p in a.binding.basic_preds(residual))
+        elif not ts:
+            edges.append(Transition(q, TRUE, sink))
+        else:
+            edges.append(Transition(q, mk_not(mk_or([t.pred for t in ts])), sink))
+    edges.append(Transition(sink, TRUE, sink))
+    return Sfa(a.binding, a.states + (sink,), a.initial, a.accepting, a.transitions + tuple(edges))
+
+
 def is_neat(a: Sfa) -> bool:
     return all(classify(t.pred) is not PredicateClass.GENERAL for t in a.transitions)
 
@@ -176,10 +205,8 @@ def membership(a: Sfa, word, counters: OpCounters | None = None) -> bool:
 
 
 def size_triple(a: Sfa) -> SizeTriple:
-    degree = {q: 0 for q in a.states}
-    for t in a.transitions:
-        degree[t.src] += 1
-    m = max(degree.values(), default=0)
+    """n, m, l; defined for any automaton, even one validate rejects."""
+    m = max(Counter(t.src for t in a.transitions).values(), default=0)
     l = max((predicate_size(t.pred) for t in a.transitions), default=0)
     return SizeTriple(len(a.states), m, l)
 
@@ -208,6 +235,25 @@ def _explore(start, step, stop=None):
                 if stop is not None and stop(target):
                     return keys, edges
     return keys, edges
+
+
+def fresh_state_name(taken, base: str) -> str:
+    if base not in taken:
+        return base
+    i = 1
+    while f"{base}{i}" in taken:
+        i += 1
+    return f"{base}{i}"
+
+
+def _state_names(bases) -> tuple:
+    """One distinct state name per base, in order: a base already taken by
+    an earlier name gets fresh_state_name's numeric suffix, so composite
+    names like "{a,b}" stay distinct when the component names hold commas."""
+    taken = {}
+    for base in bases:
+        taken[fresh_state_name(taken, base)] = None
+    return tuple(taken)
 
 
 def rename_states(a: Sfa, mapping) -> Sfa:

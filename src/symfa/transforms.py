@@ -10,12 +10,11 @@ structural equality.
 
 from .algebra import OpCounters
 from .errors import UnsupportedAlgebra
+from .operations import _Side, _signature_blocks
 from .predicates import (
     Atom,
     PredicateClass,
-    TRUE,
     classify,
-    mk_not,
     mk_or,
 )
 from .propositional import monomial_to_pred, monomials_of
@@ -24,30 +23,13 @@ from .sfa import (
     Transition,
     _explore,
     _residuals,
+    _with_sink,
     dedupe_transitions,
     edges_by_pair,
+    fresh_state_name,  # still importable from here
     is_neat,
     is_normalized,
 )
-
-
-def fresh_state_name(taken, base: str) -> str:
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def _state_names(bases) -> tuple:
-    """One distinct state name per base, in order: a base already taken by
-    an earlier name gets fresh_state_name's numeric suffix, so composite
-    names like "{a,b}" stay distinct when the component names hold commas."""
-    taken = {}
-    for base in bases:
-        taken[fresh_state_name(taken, base)] = None
-    return tuple(taken)
 
 
 def to_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
@@ -96,75 +78,38 @@ def to_feasible(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Add a non-accepting sink absorbing every uncovered letter.
 
-    Each state's residual (sfa._residuals) is the complement of the union
-    of its outgoing denotations, computed once per state with one sat call;
-    when every residual is empty the automaton comes back unchanged.  Neat
-    input stays neat: the residual becomes basic predicates, the gaps
-    between the covered intervals (at most out-degree + 1 single-atom edges
-    per state) or disjoint monomials covering the missing valuations.
-    Otherwise each state with a non-empty residual gets one edge labeled
-    with the negated disjunction of its outgoing predicates.  Completion
-    never breaks determinism: all added predicates avoid the covered
-    letters.
-    """
-    counters = counters if counters is not None else OpCounters()
-    binding = a.binding
-    residuals = list(_residuals(a, counters))
-    if not any(residual for _, _, residual in residuals):
-        return a
-    sink = fresh_state_name(set(a.states), "sink")
-    neat = is_neat(a)
-    edges = []
-    for q, ts, residual in residuals:
-        if neat:
-            edges.extend(Transition(q, p, sink) for p in binding.basic_preds(residual))
-        elif not ts:
-            edges.append(Transition(q, TRUE, sink))
-        elif residual:
-            edges.append(Transition(q, mk_not(mk_or([t.pred for t in ts])), sink))
-    edges.append(Transition(sink, TRUE, sink))
-    return Sfa(
-        a.binding,
-        a.states + (sink,),
-        a.initial,
-        a.accepting,
-        a.transitions + tuple(edges),
-    )
+    Each state's residual (sfa._residuals), computed with one sat call,
+    goes to the sink of sfa._with_sink: at most out-degree + 1 single-atom
+    edges per state for neat interval input, and none when every residual
+    is empty.  The added predicates avoid the covered letters, so
+    determinism is kept."""
+    return _with_sink(a, list(_residuals(a, counters)))
 
 
 def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """The unique minimal-state deterministic complete neat form.
 
-    Refine states into blocks by signature (operations._signature_blocks,
-    as minimize does), which reads each state's edges once and completes on
-    the way; when a state's edges overlap, determinize and refine the
-    result instead.  Each block's signature already holds, per target
-    block, the canonical intervals of its letters; they become one
+    operations._signature_blocks refines the macro-states the subset
+    construction reaches, plus a sink; on deterministic input those are
+    a's reachable states.  Each block's signature already holds, per
+    target block, the canonical intervals of its letters; they become one
     transition per atom, and blocks are renamed q0, q1, ... in
     breadth-first order from the initial state's block, exploring
-    transitions by ascending interval.
-    No step after determinizing sees what it would change (state names,
-    unreachable states, unsatisfiable edges), so language-equal inputs
+    transitions by ascending interval.  No step sees state names,
+    unreachable states or unsatisfiable edges, so language-equal inputs
     yield structurally equal outputs.  Interval binding only: no unique
     minimal neat form exists for the propositional algebra.
     """
     if not a.binding.is_monotonic:
         raise UnsupportedAlgebra("canonical minimal forms need the interval algebra")
     counters = counters if counters is not None else OpCounters()
-    # imported here: operations imports from this module
-    from .operations import _signature_blocks, determinize
-
-    refined = _signature_blocks(a, counters)
-    if refined is None:
-        a = determinize(a, counters)
-        refined = _signature_blocks(a, counters)
-    block, letters = refined
+    block, letters = _signature_blocks(_Side(a, counters), (a.initial,), a.accepting)
     outgoing = {
         b: sorted(((atom, dst) for dst, x in sig for atom in x), key=lambda e: (e[0].lo, e[0].hi))
         for b, sig in letters.items()
     }
-    order, edges = _explore(block[a.initial], outgoing.__getitem__)
-    accepting = {b for q, b in block.items() if q in a.accepting}
+    order, edges = _explore(block[(a.initial,)], outgoing.__getitem__)
+    accepting = {b for m, b in block.items() if not a.accepting.isdisjoint(m)}
     return Sfa(
         a.binding,
         tuple(f"q{i}" for i in range(len(order))),

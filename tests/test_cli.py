@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 from symfa import (
@@ -16,12 +20,13 @@ from symfa import (
     parse_sfa,
     product,
 )
-from symfa import operations
-from symfa.cli import build_parser, main
+import symfa
+from symfa import operations, propositional_binding
+from symfa.cli import COMMANDS, build_parser, main
 from symfa.oracle import separating_word
 from symfa.serialize import MAX_PRED_DEPTH
 from conftest import DATA
-from genlib import comma_nfa
+from genlib import comma_nfa, rand_det_interval_sfa, rand_det_prop_sfa, rand_sfa
 
 TWO_STATE = str(DATA / "two_state.sfa")
 GOLDEN_DOT = DATA / "two_state.dot"
@@ -90,6 +95,12 @@ def test_validate_clean_and_dirty(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "violation:" in out and "zz" in out
+    # the report's size triple counts edges of a source no state declares
+    bad.write_text('{"algebra": "interval", "states": ["q"], "initial": "q", "accepting": [],'
+                   ' "transitions": [{"from": "zz", "pred": "true", "to": "q"}]}')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, err) == (1, "")
+    assert "n=1 m=1 l=1" in out and "unknown state 'zz' as transition source" in out
 
 
 def test_transform_writes_output_file(capsys, tmp_path, two_state):
@@ -375,3 +386,83 @@ def test_parser_surface_is_pinned():
         ("debug-equal", "brute-force equality over an enumerated alphabet", two()),
         ("debug-subset", "brute-force inclusion over an enumerated alphabet", two()),
     ]
+
+
+def test_importing_the_cli_leaves_the_oracle_unloaded():
+    src = str(Path(symfa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, symfa.cli; print('symfa.oracle' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+JUNK = (None, True, 0, -1, 7, 2**70, 1.5, "", "q0", "p1", "inf", "-inf", "true", [], {}, [0, 1],
+        {"atom": {"lo": 3, "hi": 1}}, {"atom": {"var": "p9", "neg": False}}, {"not": "true"})
+WORDS = ("", "5", "-3,200", "101", "0,1", "x", "1,,2", "0110")
+
+
+def _mutate(rng, node, times):
+    """Delete times randomly chosen nodes of a JSON document, or replace
+    each by a junk value or a copy of another of its nodes."""
+    for _ in range(times):
+        slots, stack = [], [node]
+        while stack:
+            x = stack.pop()
+            items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+            for key, child in items:
+                slots.append((x, key))
+                stack.append(child)
+        if slots:
+            parent, key = rng.choice(slots)
+            r = rng.random()
+            if r < 0.2:
+                del parent[key]
+            else:
+                other, other_key = rng.choice(slots)
+                value = rng.choice(JUNK) if r < 0.6 else other[other_key]
+                parent[key] = json.loads(json.dumps(value))  # shares nothing
+    return node
+
+
+def _rand_doc(rng, i):
+    """A seeded genlib automaton as a JSON document: a DFA or an
+    unrestricted one, interval for even i, propositional (k = 3) for odd."""
+    if i % 2:
+        binding = propositional_binding(["p1", "p2", "p3"])
+        a = rand_det_prop_sfa(rng) if rng.random() < 0.5 else rand_sfa(rng, binding)
+    else:
+        a = rand_det_interval_sfa(rng) if rng.random() < 0.5 else rand_sfa(rng, interval_binding())
+    return json.loads(emit_sfa(a))
+
+
+def test_cli_on_mutated_files_never_fails_unexpectedly(capsys, tmp_path):
+    """A seeded robustness probe: every command on genlib files with one or
+    two JSON nodes replaced or deleted exits 0, 1 or 2, never through the
+    handler for unexpected exceptions."""
+    rng = random.Random(251)
+    names = sorted(COMMANDS)
+    codes = set()
+    for i in range(300):
+        name = rng.choice(names)
+        cmd = COMMANDS[name]
+        argv = [name]
+        for j in range(len(cmd.files)):
+            doc = _rand_doc(rng, i)
+            if j == 0 or rng.random() < 0.5:
+                _mutate(rng, doc, rng.randint(1, 2))
+            path = tmp_path / f"in{j}.sfa"
+            path.write_text(json.dumps(doc))
+            argv.append(str(path))
+        if cmd.extra:
+            flag = cmd.extra[0]
+            if flag == "--out":
+                argv.append(f"--out={tmp_path / 'out.sfa'}")
+            elif flag == "--word":
+                argv.append(f"--word={rng.choice(WORDS)}")
+            else:
+                argv.append(flag)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "unexpected" not in err, (argv, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -50,7 +50,7 @@ from symfa.oracle import (
 )
 from symfa import operations, sfa, transforms
 from symfa.algebra import IntervalBinding, PropositionalBinding
-from symfa.operations import _minterms, _signature_blocks
+from symfa.operations import _minterms, _Side, _signature_blocks
 from symfa.sfa import rename_states
 from genlib import (
     add_unsat_edge,
@@ -403,11 +403,12 @@ def test_signature_blocks_count_joins_per_state_and_round():
         ),
     )
     c = OpCounters()
-    block, letters = _signature_blocks(a, c)
+    block, letters = _signature_blocks(_Side(a, c), ("q0",), a.accepting)
     assert len(set(block.values())) == 3
-    assert [dst for dst, _ in letters[block["q0"]]] == [block["q1"]]
+    assert [dst for dst, _ in letters[block[("q0",)]]] == [block[("q1",)]]
     assert c.disj_built == 2
-    assert list(block) == ["q0", "q1", "q2"]  # complete: no sink
+    assert c.sat_calls == 1  # one overlap test, at q0
+    assert list(block) == [("q0",), ("q1",), ("q2",)]  # complete: no sink
 
 
 def test_signature_blocks_read_a_sink_and_refuse_overlapping_edges():
@@ -424,22 +425,30 @@ def test_signature_blocks_read_a_sink_and_refuse_overlapping_edges():
         ),
     )
     c = OpCounters()
-    block, letters = _signature_blocks(a, c)
+    block, letters = _signature_blocks(_Side(a, c), ("q0",), a.accepting)
     # q2 is reached by an unsatisfiable edge only, so it is not refined;
-    # the sink (None) comes last
-    assert list(block) == ["q0", "q1", None]
-    assert block[None] != block["q0"]
-    assert c.sat_calls == len(a.transitions) + 1  # one overlap test, at q0
+    # the sink, the empty macro-state, comes last
+    assert list(block) == [("q0",), ("q1",), ()]
+    assert block[()] != block[("q0",)]
+    assert c.sat_calls == 1  # one overlap test, at q0; dead is not read
+    assert c.disj_built == 0
+    # minimize reads every state, so an overlap at unreachable dead is refused
     overlapping = Transition("dead", ia(3, 8), "q0")
     b = Sfa(a.binding, a.states, a.initial, a.accepting, a.transitions + (overlapping,))
-    assert _signature_blocks(b, OpCounters()) is None
+    c = OpCounters()
+    with pytest.raises(NondeterministicInput):
+        minimize(b, c)
+    assert c.sat_calls == 2  # overlap tests at q0 and dead
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("minimize and the canonical forms read edges through the splitter")
+    raise AssertionError("constructions read edges through _Side")
 
 
 def test_minimize_and_canonical_forms_denote_each_edge_at_most_once(monkeypatch):
+    """minimize, the canonical forms (on DFAs and NFAs), determinize, both
+    products and complement denote each transition at most once per call:
+    no check reads the edges before the construction does."""
     calls = Counter()
 
     def counting(denote):
@@ -449,36 +458,119 @@ def test_minimize_and_canonical_forms_denote_each_edge_at_most_once(monkeypatch)
 
         return counted
 
+    completed = transforms.complete
     for binding in (IntervalBinding, PropositionalBinding):
         monkeypatch.setattr(binding, "denote", counting(binding.denote))
     for module in (sfa, transforms, operations):
-        for name in ("complete", "is_deterministic"):
+        for name in ("complete", "to_feasible", "is_complete", "is_deterministic"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+
+    def denotes_each_once(run, *inputs):
+        allowed = Counter(id(t.pred) for x in inputs for t in x.transitions)
+        calls.clear()
+        run(*inputs)
+        assert all(n <= allowed[p] for p, n in calls.items())
+
     # b, product's second input, draws from its own generator, so a's
     # inputs do not depend on it
     rng, other = random.Random(239), random.Random(241)
     for i in range(160):
-        complete = rng.random() < 0.5
+        full = rng.random() < 0.5
         if i % 2:
-            a = rand_det_interval_sfa(rng, complete=complete, neat=rng.random() < 0.5)
+            a = rand_det_interval_sfa(rng, complete=full, neat=rng.random() < 0.5)
             b = rand_det_interval_sfa(other, complete=other.random() < 0.5)
+            nfa = rand_sfa(other, a.binding, n_max=4, m_max=3)
             runs = (minimize, canonical_minimal_neat, canonical_minimal_normalized)
         else:
-            a = rand_det_prop_sfa(rng, k=3, complete=complete)
+            a = rand_det_prop_sfa(rng, k=3, complete=full)
             b = rand_det_prop_sfa(other, k=3, complete=other.random() < 0.5)
+            nfa = None
             runs = (minimize,)
         if rng.random() < 0.4:
             a = rewrite(rng, a, rounds=2)
-        allowed = Counter(id(t.pred) for t in a.transitions)
-        for run in runs + (determinize,):
-            calls.clear()
-            run(a)
-            assert all(n <= allowed[p] for p, n in calls.items())
-        calls.clear()
-        product(a, b, ProductMode.INTERSECT)
-        allowed.update(id(t.pred) for t in b.transitions)
-        assert all(n <= allowed[p] for p, n in calls.items())
+        for run in runs + (determinize, complement):
+            denotes_each_once(run, a)
+        if nfa is not None:
+            for run in (canonical_minimal_neat, canonical_minimal_normalized):
+                denotes_each_once(run, nfa)
+        denotes_each_once(lambda x, y: product(x, y, ProductMode.INTERSECT), a, b)
+        ca, cb = completed(a), completed(b)
+        denotes_each_once(lambda x, y: product(x, y, ProductMode.UNION), ca, cb)
+        denotes_each_once(lambda x: product(x, x, ProductMode.UNION), ca)
+
+
+def _overlap_tests(*inputs):
+    """Sat calls of reading every state of each input once: one overlap
+    test per state with two edges or more."""
+    return sum(len(ts) > 1 for a in inputs for ts in a.out_map().values())
+
+
+def _meets(a, b):
+    """Edge pairs a product of a and b meets: every pair of edges of every
+    pair state its search reaches through non-empty meets."""
+    out_a, out_b = a.out_map(), b.out_map()
+    seen = {(a.initial, b.initial)}
+    stack = list(seen)
+    meets = 0
+    while stack:
+        p, q = stack.pop()
+        meets += len(out_a[p]) * len(out_b[q])
+        for t1 in out_a[p]:
+            for t2 in out_b[q]:
+                if a.binding.is_sat(mk_and([t1.pred, t2.pred])) and (t1.dst, t2.dst) not in seen:
+                    seen.add((t1.dst, t2.dst))
+                    stack.append((t1.dst, t2.dst))
+    return meets
+
+
+def _det_inputs(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            a = rand_det_interval_sfa(rng, complete=rng.random() < 0.5, neat=rng.random() < 0.5)
+        else:
+            a = rand_det_prop_sfa(rng, k=3, complete=rng.random() < 0.5)
+        yield rewrite(rng, a, rounds=2) if rng.random() < 0.4 else a
+
+
+def test_complement_and_minimize_cost_one_overlap_test_per_state():
+    for a in _det_inputs(331, 120):
+        for run in (complement, minimize):
+            c = OpCounters()
+            run(a, c)
+            assert c.sat_calls == _overlap_tests(a)
+            if run is complement:
+                assert (c.conj_built, c.disj_built) == (0, 0)
+
+
+def test_union_costs_its_overlap_tests_and_one_per_meet():
+    inputs = [complete(a) for a in _det_inputs(337, 120)]
+    for a, b in zip(inputs, inputs[2:]):  # both of one algebra
+        for x, y in ((a, b), (b, a)):
+            c = OpCounters()
+            product(x, y, ProductMode.UNION, c)
+            meets = _meets(x, y)
+            assert c.sat_calls == _overlap_tests(x, y) + meets
+            assert (c.conj_built, c.disj_built) == (meets, 0)
+        c = OpCounters()
+        product(a, a, ProductMode.UNION, c)
+        assert c.sat_calls == _overlap_tests(a) + _meets(a, a)
+
+
+def test_canonical_forms_of_an_nfa_cost_what_determinize_does():
+    rng = random.Random(347)
+    nfas = 0
+    for _ in range(80):
+        a = rand_sfa(rng, interval_binding(), n_max=4, m_max=3)
+        nfas += not is_deterministic(a)
+        want = OpCounters()
+        determinize(a, want)
+        for run in (canonical_minimal_neat, canonical_minimal_normalized):
+            c = OpCounters()
+            run(a, c)
+            assert (c.sat_calls, c.conj_built) == (want.sat_calls, want.conj_built)
+    assert nfas > 40
 
 
 def test_minimize_requires_deterministic():
