@@ -18,10 +18,11 @@ it tests them for overlap (None when two share a letter), adds the letters
 they leave out as one residual edge, and readies them to be met with
 another state's edges in one pass: an endpoint sweep over atoms sorted
 once per state for intervals, one AND per pair of edges for truth tables.
-"""
 
-from dataclasses import dataclass
-from typing import ClassVar
+Bindings are immutable values (predicates._Value): two are equal when they
+are of one class with equal fields, and hash as their field tuple.
+OpCounters is the one mutable class: equal by its counts, unhashable.
+"""
 
 from . import intervals, propositional
 from .errors import BindingMismatch, UnsupportedAlgebra
@@ -36,16 +37,28 @@ from .predicates import (
     Predicate,
     _FalsePred,
     _TruePred,
+    _Value,
+    _set,
 )
 
 
-@dataclass
 class OpCounters:
     """Algebra-work meters for one operation run."""
 
-    sat_calls: int = 0
-    conj_built: int = 0
-    disj_built: int = 0
+    __slots__ = ("sat_calls", "conj_built", "disj_built")
+
+    def __init__(self, sat_calls: int = 0, conj_built: int = 0, disj_built: int = 0):
+        self.sat_calls = sat_calls
+        self.conj_built = conj_built
+        self.disj_built = disj_built
+
+    def __repr__(self):
+        return f"OpCounters({', '.join(f'{k}={v!r}' for k, v in self.as_dict().items())})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self):
         return {
@@ -55,11 +68,11 @@ class OpCounters:
         }
 
 
-@dataclass(frozen=True)
-class AlgebraBinding:
-    """What both algebras share; is_monotonic is True for intervals."""
+class AlgebraBinding(_Value):
+    """What both algebras share; the class attribute is_monotonic is True
+    for intervals."""
 
-    is_monotonic: ClassVar[bool]
+    __slots__ = ()
 
     def check_same(self, other: "AlgebraBinding"):
         if self != other:
@@ -101,10 +114,10 @@ class AlgebraBinding:
         return self._splitter(edges, rest)
 
 
-@dataclass(frozen=True)
 class IntervalBinding(AlgebraBinding):
     """Half-open integer intervals; solved forms are canonical interval tuples."""
 
+    __slots__ = ()
     is_monotonic = True
     full = (FULL_INTERVAL,)
 
@@ -141,17 +154,15 @@ class IntervalBinding(AlgebraBinding):
         return [Atom(atom) for atom in x]
 
 
-@dataclass(frozen=True)
 class PropositionalBinding(AlgebraBinding):
     """Propositions named by props, any iterable of distinct nonempty
     strings, kept as a tuple; solved forms are 2^k-bit truth tables."""
 
-    props: tuple
+    __slots__ = ("props",)
     is_monotonic = False
 
-    def __post_init__(self):
-        props = tuple(self.props)
-        object.__setattr__(self, "props", props)
+    def __init__(self, props):
+        props = tuple(props)
         if not props:
             raise UnsupportedAlgebra("propositional algebra needs at least one proposition")
         if len(props) > propositional.MAX_PROPS:
@@ -163,6 +174,15 @@ class PropositionalBinding(AlgebraBinding):
                 raise UnsupportedAlgebra(f"proposition names are nonempty strings, got {name!r}")
         if len(set(props)) != len(props):
             raise UnsupportedAlgebra("duplicate proposition names")
+        _set(self, "props", props)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.props == other.props
+
+    def __hash__(self):
+        return hash((self.props,))
 
     @property
     def k(self) -> int:

@@ -2,10 +2,14 @@
 
 A predicate is a tree over algebra-specific atoms closed under and/or/not,
 plus the constants TRUE and FALSE.  Trees are immutable and hashable, so
-structural equality is plain ``==``.
+structural equality is plain ``==``.  Every node class, like the other
+value classes of the package, derives from _Value: its fields are
+__slots__ set once by __init__, it is equal only to an instance of its own
+class with equal fields (so Atom(x) != Not(x)), and it hashes as the tuple
+of its fields.
 """
 
-from dataclasses import dataclass
+import operator
 from enum import Enum
 
 NEG_INF = float("-inf")
@@ -26,18 +30,76 @@ def _check_bound(b: Bound) -> Bound:
     raise ValueError(f"interval bound must be an integer or +-inf, got {b!r}")
 
 
-@dataclass(frozen=True, order=True)
-class IntervalAtom:
-    """Half-open integer interval [lo, hi); denotes {d : lo <= d < hi}."""
+_set = object.__setattr__
 
-    lo: Bound
-    hi: Bound
 
-    def __post_init__(self):
-        _check_bound(self.lo)
-        _check_bound(self.hi)
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval [{self.lo},{self.hi}): need lo < hi")
+class _Value:
+    """Base of the immutable value classes.  A subclass lists its fields in
+    __slots__ and sets each once in __init__ through _set; it writes its
+    own __eq__ (same class, equal fields) and __hash__ (of the field tuple)
+    unless, as these defaults assume, it has no fields.  Pickle and copy
+    call the class on the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+def _by_bounds(op):
+    """An IntervalAtom comparison: op on (lo, hi) pairs, NotImplemented
+    against any other class."""
+
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op((self.lo, self.hi), (other.lo, other.hi))
+
+    return compare
+
+
+class IntervalAtom(_Value):
+    """Half-open integer interval [lo, hi); denotes {d : lo <= d < hi}.
+    IntervalAtoms order by (lo, hi)."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Bound, hi: Bound):
+        _check_bound(lo)
+        _check_bound(hi)
+        if not lo < hi:
+            raise ValueError(f"empty interval [{lo},{hi}): need lo < hi")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    __lt__ = _by_bounds(operator.lt)
+    __le__ = _by_bounds(operator.le)
+    __gt__ = _by_bounds(operator.gt)
+    __ge__ = _by_bounds(operator.ge)
 
     def contains(self, d: int) -> bool:
         return self.lo <= d < self.hi
@@ -46,16 +108,24 @@ class IntervalAtom:
 FULL_INTERVAL = IntervalAtom(NEG_INF, POS_INF)
 
 
-@dataclass(frozen=True)
-class LiteralAtom:
+class LiteralAtom(_Value):
     """A proposition or its negation; polarity lives in the atom itself."""
 
-    var: int
-    negated: bool = False
+    __slots__ = ("var", "negated")
 
-    def __post_init__(self):
-        if self.var < 0:
-            raise ValueError(f"literal variable index must be >= 0, got {self.var}")
+    def __init__(self, var: int, negated: bool = False):
+        if var < 0:
+            raise ValueError(f"literal variable index must be >= 0, got {var}")
+        _set(self, "var", var)
+        _set(self, "negated", negated)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var and self.negated == other.negated
+
+    def __hash__(self):
+        return hash((self.var, self.negated))
 
     def sort_key(self):
         return (self.var, self.negated)
@@ -64,43 +134,91 @@ class LiteralAtom:
 AtomPayload = IntervalAtom | LiteralAtom
 
 
-@dataclass(frozen=True)
-class Atom:
-    payload: AtomPayload
+class Atom(_Value):
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: AtomPayload):
+        _set(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.payload == other.payload
+
+    def __hash__(self):
+        return hash((self.payload,))
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple
+class And(_Value):
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("And needs at least 2 children")
+        _set(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.children == other.children
+
+    def __hash__(self):
+        return hash((self.children,))
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple
+class Or(_Value):
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("Or needs at least 2 children")
+        _set(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.children == other.children
+
+    def __hash__(self):
+        return hash((self.children,))
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Predicate"
+class Not(_Value):
+    __slots__ = ("child",)
+
+    def __init__(self, child: "Predicate"):
+        _set(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.child == other.child
+
+    def __hash__(self):
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
-class _TruePred:
+class _TruePred(_Value):
+    """The class of TRUE; pickle and copy give back TRUE itself."""
+
+    __slots__ = ()
+
     def __repr__(self):
         return "TRUE"
 
+    def __reduce__(self):
+        return "TRUE"
 
-@dataclass(frozen=True)
-class _FalsePred:
+
+class _FalsePred(_Value):
+    """The class of FALSE; pickle and copy give back FALSE itself."""
+
+    __slots__ = ()
+
     def __repr__(self):
+        return "FALSE"
+
+    def __reduce__(self):
         return "FALSE"
 
 

@@ -6,34 +6,46 @@ the predicate admits.  This module holds the data type, run semantics over
 words, the structural classifications (deterministic, complete, neat,
 normalized, feasible), the size triple <n, m, l>, and what the
 constructions share: breadth-first exploration, state naming and the sink
-completion adds.
+completion adds.  Transition, Sfa and SizeTriple are immutable values
+(predicates._Value): equal when of one class with equal fields, hashed as
+their field tuple, so a transition's identity is (src, pred, dst).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .algebra import AlgebraBinding, OpCounters
 from .predicates import (
     TRUE,
     Predicate,
     PredicateClass,
+    _Value,
     classify,
     iter_atoms,
     mk_not,
     mk_or,
     predicate_size,
+    _set,
 )
 
 
-@dataclass(frozen=True)
-class Transition:
-    src: str
-    pred: Predicate
-    dst: str
+class Transition(_Value):
+    __slots__ = ("src", "pred", "dst")
+
+    def __init__(self, src: str, pred: Predicate, dst: str):
+        _set(self, "src", src)
+        _set(self, "pred", pred)
+        _set(self, "dst", dst)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.src == other.src and self.pred == other.pred and self.dst == other.dst
+
+    def __hash__(self):
+        return hash((self.src, self.pred, self.dst))
 
 
-@dataclass(frozen=True)
-class Sfa:
+class Sfa(_Value):
     """Automaton over an algebra binding.
 
     states is an ordered tuple of distinct ids; transitions keep their
@@ -42,16 +54,24 @@ class Sfa:
     the CLI can show them for files we did not build ourselves.
     """
 
-    binding: AlgebraBinding
-    states: tuple
-    initial: str
-    accepting: frozenset
-    transitions: tuple
+    __slots__ = ("binding", "states", "initial", "accepting", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+    def __init__(self, binding: AlgebraBinding, states, initial: str, accepting, transitions):
+        _set(self, "binding", binding)
+        _set(self, "states", tuple(states))
+        _set(self, "initial", initial)
+        _set(self, "accepting", frozenset(accepting))
+        _set(self, "transitions", tuple(transitions))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.binding, self.states, self.initial, self.accepting, self.transitions) == (
+            other.binding, other.states, other.initial, other.accepting, other.transitions
+        )
+
+    def __hash__(self):
+        return hash((self.binding, self.states, self.initial, self.accepting, self.transitions))
 
     def out_map(self):
         """state id -> list of outgoing transitions."""
@@ -61,11 +81,21 @@ class Sfa:
         return m
 
 
-@dataclass(frozen=True)
-class SizeTriple:
-    n: int
-    m: int
-    l: int
+class SizeTriple(_Value):
+    __slots__ = ("n", "m", "l")
+
+    def __init__(self, n: int, m: int, l: int):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "l", l)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.l == other.l
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.l))
 
     def as_dict(self):
         return {"n": self.n, "m": self.m, "l": self.l}

@@ -389,11 +389,16 @@ def test_parser_surface_is_pinned():
 
 
 def test_importing_the_cli_leaves_the_oracle_unloaded():
+    """Nor does it load dataclasses or inspect, which the value classes do
+    without; -S keeps site's own imports out of the check."""
     src = str(Path(symfa.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, symfa.cli; print('symfa.oracle' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    code = (
+        "import sys, symfa.cli; "
+        "print([m for m in ('symfa.oracle', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 JUNK = (None, True, 0, -1, 7, 2**70, 1.5, "", "q0", "p1", "inf", "-inf", "true", [], {}, [0, 1],
