@@ -19,8 +19,9 @@ they leave out as one residual edge, and readies them to be met with
 another state's edges in one pass: an endpoint sweep over atoms sorted
 once per state for intervals, one AND per pair of edges for truth tables.
 
-Bindings are immutable values (predicates._Value): two are equal when they
-are of one class with equal fields, and hash as their field tuple.
+Bindings are immutable values whose equality and hash predicates._Value
+builds from their fields: two are equal when they are of one class with
+equal fields, and hash as their field tuple.
 OpCounters is the one mutable class: equal by its counts, unhashable.
 """
 
@@ -175,14 +176,6 @@ class PropositionalBinding(AlgebraBinding):
         if len(set(props)) != len(props):
             raise UnsupportedAlgebra("duplicate proposition names")
         _set(self, "props", props)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.props == other.props
-
-    def __hash__(self):
-        return hash((self.props,))
 
     @property
     def k(self) -> int:

@@ -17,7 +17,7 @@ the dense window, from which tests draw member words.
 from collections import deque
 from itertools import product as iproduct
 
-from .predicates import IntervalAtom, _Value, _set, iter_atoms
+from .predicates import IntervalAtom, _Value, iter_atoms
 from .propositional import all_valuations
 from .sfa import Sfa
 
@@ -28,27 +28,11 @@ class ConcreteDfa(_Value):
     """Total explicit DFA over a finite alphabet.
 
     States are frozensets of the source automaton's state ids; the empty
-    set is the rejecting sink, so delta is total over the alphabet.
+    set is the rejecting sink, so delta is total over the alphabet.  It is
+    unhashable, since delta is a dict.
     """
 
     __slots__ = ("alphabet", "states", "initial", "accepting", "delta")
-
-    def __init__(self, alphabet, states, initial, accepting, delta):
-        _set(self, "alphabet", alphabet)
-        _set(self, "states", states)
-        _set(self, "initial", initial)
-        _set(self, "accepting", accepting)
-        _set(self, "delta", delta)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.states, self.initial, self.accepting, self.delta) == (
-            other.alphabet, other.states, other.initial, other.accepting, other.delta
-        )
-
-    def __hash__(self):  # raises TypeError: delta is a dict
-        return hash((self.alphabet, self.states, self.initial, self.accepting, self.delta))
 
     def accepts(self, word) -> bool:
         q = self.initial

@@ -3,10 +3,11 @@
 A predicate is a tree over algebra-specific atoms closed under and/or/not,
 plus the constants TRUE and FALSE.  Trees are immutable and hashable, so
 structural equality is plain ``==``.  Every node class, like the other
-value classes of the package, derives from _Value: its fields are
-__slots__ set once by __init__, it is equal only to an instance of its own
-class with equal fields (so Atom(x) != Not(x)), and it hashes as the tuple
-of its fields.
+value classes of the package, derives from _Value, which builds its
+__eq__, __hash__ and, unless the class checks its input, __init__ from its
+__slots__ once, when the class is defined: fields are set once, a node is
+equal only to an instance of its own class with equal fields (so Atom(x)
+!= Not(x)), and it hashes as the tuple of its fields.
 """
 
 import operator
@@ -35,24 +36,46 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the immutable value classes.  A subclass lists its fields in
-    __slots__ and sets each once in __init__ through _set; it writes its
-    own __eq__ (same class, equal fields) and __hash__ (of the field tuple)
-    unless, as these defaults assume, it has no fields.  Pickle and copy
-    call the class on the fields."""
+    __slots__ and gets, unless it writes them itself, an __init__ taking
+    the fields in order and setting each once through _set, an __eq__ true
+    only against its own class with equal fields, and a __hash__ of the
+    field tuple.  A class that checks or normalises its input writes its
+    __init__ and sets each field through _set.  Pickle and copy call the
+    class on the fields."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # Compiled from source once per class, as namedtuple builds its
+        # methods: closures over the field names made == several times
+        # slower.
+        fields = cls.__slots__
+        same = " and ".join(f"self.{f} == other.{f}" for f in fields) or "True"
+        methods = {
+            "__init__": (fields, [f"_set(self, {f!r}, {f})" for f in fields] or ["pass"]),
+            "__eq__": (["other"], [
+                "if other.__class__ is not self.__class__:",
+                "    return NotImplemented",
+                f"return {same}",
+            ]),
+            "__hash__": ([], [f"return hash(({''.join(f'self.{f}, ' for f in fields)}))"]),
+        }
+        source = "".join(
+            f"def {name}(self, {', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
+            for name, (params, body) in methods.items()
+            if name not in cls.__dict__
+        )
+        namespace = {}
+        exec(source, {"_set": _set}, namespace)
+        for name, method in namespace.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(())
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -88,14 +111,6 @@ class IntervalAtom(_Value):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     __lt__ = _by_bounds(operator.lt)
     __le__ = _by_bounds(operator.le)
     __gt__ = _by_bounds(operator.gt)
@@ -114,39 +129,21 @@ class LiteralAtom(_Value):
     __slots__ = ("var", "negated")
 
     def __init__(self, var: int, negated: bool = False):
-        if var < 0:
-            raise ValueError(f"literal variable index must be >= 0, got {var}")
+        if type(var) is not int or var < 0:
+            raise ValueError(f"literal variable index must be an int >= 0, got {var!r}")
+        if type(negated) is not bool:
+            raise ValueError(f"literal polarity must be a bool, got {negated!r}")
         _set(self, "var", var)
         _set(self, "negated", negated)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.var == other.var and self.negated == other.negated
-
-    def __hash__(self):
-        return hash((self.var, self.negated))
 
     def sort_key(self):
         return (self.var, self.negated)
 
 
-AtomPayload = IntervalAtom | LiteralAtom
-
-
 class Atom(_Value):
+    """payload is an IntervalAtom or a LiteralAtom."""
+
     __slots__ = ("payload",)
-
-    def __init__(self, payload: AtomPayload):
-        _set(self, "payload", payload)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.payload == other.payload
-
-    def __hash__(self):
-        return hash((self.payload,))
 
 
 class And(_Value):
@@ -157,14 +154,6 @@ class And(_Value):
             raise ValueError("And needs at least 2 children")
         _set(self, "children", children)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.children == other.children
-
-    def __hash__(self):
-        return hash((self.children,))
-
 
 class Or(_Value):
     __slots__ = ("children",)
@@ -174,28 +163,9 @@ class Or(_Value):
             raise ValueError("Or needs at least 2 children")
         _set(self, "children", children)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.children == other.children
-
-    def __hash__(self):
-        return hash((self.children,))
-
 
 class Not(_Value):
     __slots__ = ("child",)
-
-    def __init__(self, child: "Predicate"):
-        _set(self, "child", child)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.child == other.child
-
-    def __hash__(self):
-        return hash((self.child,))
 
 
 class _TruePred(_Value):

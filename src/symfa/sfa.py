@@ -7,8 +7,9 @@ words, the structural classifications (deterministic, complete, neat,
 normalized, feasible), the size triple <n, m, l>, and what the
 constructions share: breadth-first exploration, state naming and the sink
 completion adds.  Transition, Sfa and SizeTriple are immutable values
-(predicates._Value): equal when of one class with equal fields, hashed as
-their field tuple, so a transition's identity is (src, pred, dst).
+whose equality and hash predicates._Value builds from their fields: equal
+when of one class with equal fields, hashed as their field tuple, so a
+transition's identity is (src, pred, dst).
 """
 
 from collections import Counter
@@ -31,19 +32,6 @@ from .predicates import (
 class Transition(_Value):
     __slots__ = ("src", "pred", "dst")
 
-    def __init__(self, src: str, pred: Predicate, dst: str):
-        _set(self, "src", src)
-        _set(self, "pred", pred)
-        _set(self, "dst", dst)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.src == other.src and self.pred == other.pred and self.dst == other.dst
-
-    def __hash__(self):
-        return hash((self.src, self.pred, self.dst))
-
 
 class Sfa(_Value):
     """Automaton over an algebra binding.
@@ -63,16 +51,6 @@ class Sfa(_Value):
         _set(self, "accepting", frozenset(accepting))
         _set(self, "transitions", tuple(transitions))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.binding, self.states, self.initial, self.accepting, self.transitions) == (
-            other.binding, other.states, other.initial, other.accepting, other.transitions
-        )
-
-    def __hash__(self):
-        return hash((self.binding, self.states, self.initial, self.accepting, self.transitions))
-
     def out_map(self):
         """state id -> list of outgoing transitions."""
         m = {q: [] for q in self.states}
@@ -83,19 +61,6 @@ class Sfa(_Value):
 
 class SizeTriple(_Value):
     __slots__ = ("n", "m", "l")
-
-    def __init__(self, n: int, m: int, l: int):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "l", l)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and self.l == other.l
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.l))
 
     def as_dict(self):
         return {"n": self.n, "m": self.m, "l": self.l}

@@ -14,9 +14,15 @@ Regenerate only when a construction's output is meant to change:
 
 import hashlib
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
+import pytest
+
+import symfa
 from symfa import (
     ProductMode,
     canonical_minimal_neat,
@@ -100,6 +106,17 @@ def test_constructions_reproduce_golden_outputs():
     assert set(got) == set(want)
     changed = sorted(case for case in want if got[case] != want[case])
     assert not changed, f"outputs differ from the recorded ones: {changed}"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_golden_outputs_do_not_depend_on_the_hash_seed(hash_seed):
+    """Sets and dicts keyed by values order by the values' __hash__, which
+    string hashing salts per process; the outputs must not follow it."""
+    path = [str(pathlib.Path(p).resolve().parent) for p in (symfa.__path__[0], __file__)]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+    code = "import test_golden; test_golden.test_constructions_reproduce_golden_outputs()"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 if __name__ == "__main__":

@@ -41,6 +41,17 @@ def test_interval_atom_contains():
     assert IntervalAtom(NEG_INF, POS_INF).contains(-(10**9))
 
 
+@pytest.mark.parametrize(
+    "var, negated",
+    [(-1, False), (1.5, False), (True, False), ("0", False), (0, "yes"), (0, 1), (0, None)],
+)
+def test_literal_atom_rejects_a_bad_index_or_polarity(var, negated):
+    """A float index used to reach the truth-table code and fail there; a
+    truthy non-bool polarity made evaluate and denote disagree."""
+    with pytest.raises(ValueError, match="literal (variable index|polarity)"):
+        LiteralAtom(var, negated)
+
+
 def test_connectives_require_two_children():
     with pytest.raises(ValueError):
         And((ia(0, 10),))

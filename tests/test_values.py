@@ -64,7 +64,8 @@ def _fields(x):
 
 
 def _leaf_classes(cls):
-    subs = cls.__subclasses__()
+    """The package's leaf subclasses of cls, without this module's own."""
+    subs = [sub for sub in cls.__subclasses__() if sub.__module__ != __name__]
     return {leaf for sub in subs for leaf in _leaf_classes(sub)} if subs else {cls}
 
 
@@ -158,6 +159,36 @@ def test_keyword_construction():
         AUTOMATON.binding, tuple(AUTOMATON.states), "q0", frozenset({"q1"}), AUTOMATON.transitions
     )
     assert type(AUTOMATON.states) is tuple and type(AUTOMATON.accepting) is frozenset
+
+
+class Pair(_Value):
+    """A value class written the shortest way: its fields and nothing else."""
+
+    __slots__ = ("left", "right")
+
+
+class OtherPair(_Value):
+    __slots__ = ("left", "right")
+
+
+def test_a_subclass_gets_init_eq_and_hash_from_its_slots():
+    p = Pair(1, "b")
+    assert (p.left, p.right) == (1, "b")
+    assert Pair(right="b", left=1) == Pair(1, right="b") == p
+    wrong = [((), {}), ((1,), {}), ((1, "b", 3), {}), ((1, "b"), {"left": 1}), ((1,), {"x": 2})]
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+    assert p != Pair(1, "c") and p != Pair(2, "b") and not p != Pair(1, "b")
+    assert p != OtherPair(1, "b") and p != (1, "b")
+    assert p.__eq__(OtherPair(1, "b")) is NotImplemented
+    assert hash(p) == hash(Pair(1, "b")) == hash((1, "b"))
+    assert len({p, Pair(1, "b"), OtherPair(1, "b")}) == 2
+    assert repr(p) == "Pair(left=1, right='b')"
+    with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+        p.left = 2
+    for y in [pickle.loads(pickle.dumps(p, 2)), pickle.loads(pickle.dumps(p)), copy.deepcopy(p)]:
+        assert type(y) is Pair and y == p
 
 
 def test_op_counters_are_mutable_equal_by_fields_and_unhashable():
