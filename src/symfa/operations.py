@@ -10,8 +10,8 @@ per-state signatures.  Neat inputs produce neat outputs throughout:
 interval negation expands into atoms, propositional residuals into
 disjoint monomials.
 
-Every construction and counterexample reads its input through _Side, the
-one reading: each edge is denoted once per call, into its algebra's
+Every construction and counterexample reads its input through sfa._Side,
+the one reading: each edge is denoted once per call, into its algebra's
 solved form (see algebra.py), and each state or macro-state is read once
 as a deterministic state (AlgebraBinding.splitter), which gives the
 overlap test, the letters no edge takes and the edges to meet, together.
@@ -37,8 +37,7 @@ from .algebra import OpCounters
 from .errors import NondeterministicInput, SfaError
 from .predicates import (
     Atom,
-    PredicateClass,
-    classify,
+    _is_basic,
     mk_and,
     mk_or,
 )
@@ -46,6 +45,8 @@ from .sfa import (
     Sfa,
     Transition,
     _explore,
+    _Side,
+    _signature_blocks,
     _state_names,
     _with_sink,
     dedupe_transitions,
@@ -92,7 +93,7 @@ def product(a: Sfa, b: Sfa, mode: ProductMode, counters: OpCounters | None = Non
     if mode is ProductMode.UNION:
         if not (left.deterministic() and right.deterministic()):
             raise SfaError("union requires deterministic inputs")
-        if any(len(s.state(q).edges) > len(ts) for s in (left, right) for q, ts in s.out.items()):
+        if any(s.residual(q) for s in (left, right) for q in s.out):
             raise SfaError("union requires complete inputs")
 
     def step(pair):
@@ -130,10 +131,6 @@ def _conjoin(binding, p1, d1, p2, d2, counters):
     return mk_and([p1, p2])
 
 
-def _is_basic(p) -> bool:
-    return classify(p) is not PredicateClass.GENERAL
-
-
 def complement(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Swap accepting and rejecting states after completing.
 
@@ -147,11 +144,10 @@ def complement(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     side = _Side(a, counters)
     if not side.deterministic():
         raise NondeterministicInput("complement needs a deterministic automaton; determinize first")
-    residuals = []
-    for q, ts in side.out.items():
-        edges = side.state(q).edges
-        rest = edges[len(ts) :]
-        residuals.append((q, [t for t, (_, d) in zip(ts, edges) if d], rest and rest[0][1]))
+    residuals = [
+        (q, [t for t, (_, d) in zip(ts, side.edges(q)) if d], side.residual(q))
+        for q, ts in side.out.items()
+    ]
     feasible = {t for _, ts, _ in residuals for t in ts}
     kept = [t for t in a.transitions if t in feasible]
     c = _with_sink(Sfa(a.binding, a.states, a.initial, a.accepting, kept), residuals)
@@ -197,34 +193,6 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     return Sfa(binding, names, names[0], accepting, edges)
 
 
-def _minterms(binding, moves, counters):
-    """Satisfiable minterms of a transition list, as (mask, solved form).
-
-    moves holds (target, denotation, complement) triples; bit
-    len(moves) - 1 - j of mask is set iff moves[j] is taken rather than
-    negated, so the include-first depth-first search yields descending
-    masks.  Empty partial conjunctions are pruned; each emptiness test
-    counts as a sat call.  The search keeps an explicit stack, so no
-    self-calling closure holds the results in a reference cycle.
-    """
-    n = len(moves)
-    results = []
-    stack = [(0, binding.full, 0)]
-    while stack:
-        j, cur, mask = stack.pop()
-        counters.sat_calls += 1
-        if not cur:
-            continue
-        if j == n:
-            results.append((mask, cur))
-            continue
-        counters.conj_built += 2
-        _, den, neg = moves[j]
-        stack.append((j + 1, binding.meet(cur, neg), mask))
-        stack.append((j + 1, binding.meet(cur, den), mask | 1 << (n - 1 - j)))
-    return results
-
-
 def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Quotient by Moore partition refinement on block signatures.
 
@@ -259,9 +227,7 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     dropped = name_of.get(None)
     if dropped is not None and name_of[a.initial] == dropped:
         return Sfa(a.binding, (dropped,), dropped, frozenset(), ())
-    neat_input = all(
-        classify(t.pred) is not PredicateClass.GENERAL for t in a.transitions if t.src in block
-    )
+    neat_input = all(_is_basic(t.pred) for t in a.transitions if t.src in block)
     edges = []
     kept = []
     for ms in blocks:
@@ -287,44 +253,6 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         frozenset(name_of[q] for q in a.accepting if q in name_of),
         dedupe_transitions(edges),
     )
-
-
-def _signature_blocks(side, start, accepting):
-    """Moore refinement of the macro-states side.det reaches from start by
-    non-empty edges, the empty one () a sink that takes the letters the
-    others leave out; for a deterministic input, its states and that sink.
-
-    Blocks start as rejecting (0) and accepting (1: holding a state of
-    accepting).  Each round a macro-state's signature is its block plus,
-    per target block in ascending order, the join of its denotations into
-    that block; equal signatures share the next round's block, so no two
-    macro-states are compared.  Refinement stops when the block count
-    stops growing.  Returns (macro-state -> block, block -> its sorted
-    (target block, joined denotation) pairs), the second read off the last
-    round's signatures, which agree within each block.  Each signature
-    counts one disjunction per denotation joined into another.
-    """
-    join, counters = side.binding.join, side.counters
-    keys, edges = _explore(start, lambda m: ((d, dst) for dst, d in side.det(m).edges if d))
-    moves = [[] for _ in keys]
-    for i, d, j in edges:
-        moves[i].append((j, d))
-    block = [int(not accepting.isdisjoint(m)) for m in keys]
-    count = len(set(block))
-
-    def signature(i):
-        by_block = {}
-        for j, d in moves[i]:
-            by_block.setdefault(block[j], []).append(d)
-        counters.disj_built += len(moves[i]) - len(by_block)
-        return block[i], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
-
-    while True:
-        ids = {}
-        refined = [ids.setdefault(signature(i), len(ids)) for i in range(len(keys))]
-        if len(ids) == count:
-            return dict(zip(keys, block)), {b: letters for b, letters in ids}
-        block, count = refined, len(ids)
 
 
 def is_empty(a: Sfa, assume_feasible: bool = False, counters: OpCounters | None = None) -> bool:
@@ -431,81 +359,3 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
         word.append(binding.witness(label))
         j = i
     return word[::-1]
-
-
-class _Side:
-    """One input of a construction or a counterexample search, read on
-    demand.
-
-    Caches live as long as the call: each state's edges are denoted the
-    first time the call reads it, as a tuple; moves holds the complements
-    only _minterms needs.  state reads a state, and det a macro-state, as
-    a deterministic state, once, on its first visit.
-    """
-
-    def __init__(self, a: Sfa, counters: OpCounters):
-        self.binding = a.binding
-        self.counters = counters
-        self.out = a.out_map()
-        self._single = {}
-        self._edges = {}
-        self._moves = {}
-        self._states = {}
-        self._det = {(): a.binding.splitter((), ())}
-
-    def edges(self, q):
-        """q's edges as (singleton target macro-state, denotation), one
-        macro-state tuple per target state."""
-        es = self._edges.get(q)
-        if es is None:
-            denote, single = self.binding.denote, self._single.setdefault
-            es = self._edges[q] = tuple(
-                [(single(t.dst, (t.dst,)), denote(t.pred)) for t in self.out[q]]
-            )
-        return es
-
-    def moves(self, q):
-        """q's edges as the (target, denotation, complement) triples of
-        _minterms."""
-        ms = self._moves.get(q)
-        if ms is None:
-            complement = self.binding.complement
-            ms = self._moves[q] = [
-                (t.dst, d, complement(d)) for t, (_, d) in zip(self.out[q], self.edges(q))
-            ]
-        return ms
-
-    def state(self, q):
-        """The splitter (AlgebraBinding.splitter) of q's edges, q's in order
-        plus any residual edge, to (); None when two of them share a letter."""
-        states = self._states
-        if q not in states:
-            states[q] = self.binding.splitter(self.edges(q), (), self.counters)
-        return states[q]
-
-    def deterministic(self):
-        """No state, reachable or not, has two edges that share a letter."""
-        return all(self.state(q) is not None for q in self.out)
-
-    def det(self, macro):
-        """The splitter of a macro-state read as one deterministic state, its
-        residual leading to (), whose lone edge loops.  A lone state is read
-        by state, and when its edges overlap, like any other macro-state:
-        by one _minterms search over its members' moves, each minterm that
-        takes a move an edge to the sorted tuple of the states they reach."""
-        s = self._det.get(macro)
-        if s is None:
-            binding = self.binding
-            if len(macro) == 1:
-                s = self.state(*macro)
-            if s is None:
-                moves = [move for q in macro for move in self.moves(q)]
-                takes = list(enumerate(reversed(moves)))  # bit j of a mask takes moves[-1 - j]
-                edges = [
-                    (tuple(sorted({m[0] for j, m in takes if mask >> j & 1})), x)
-                    for mask, x in _minterms(binding, moves, self.counters)
-                    if mask
-                ]
-                s = binding.splitter(edges, ())
-            self._det[macro] = s
-        return s

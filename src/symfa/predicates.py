@@ -219,6 +219,10 @@ def classify(p: Predicate) -> PredicateClass:
     return PredicateClass.GENERAL
 
 
+def _is_basic(p: Predicate) -> bool:
+    return classify(p) is not PredicateClass.GENERAL
+
+
 def predicate_size(p: Predicate) -> int:
     """Parse-tree size: atoms and constants count 1, every binary connective
     counts 1 (an n-ary node is n-1 of them), a negation counts 1."""

@@ -5,8 +5,10 @@ carries a predicate over that algebra, so one edge stands for every letter
 the predicate admits.  This module holds the data type, run semantics over
 words, the structural classifications (deterministic, complete, neat,
 normalized, feasible), the size triple <n, m, l>, and what the
-constructions share: breadth-first exploration, state naming and the sink
-completion adds.  Transition, Sfa and SizeTriple are immutable values
+constructions share: the one reading of a state (_Side), which the
+determinism and completeness checks and complete read too, breadth-first
+exploration, Moore refinement (_signature_blocks), state naming and the
+sink completion adds.  Transition, Sfa and SizeTriple are immutable values
 whose equality and hash predicates._Value builds from their fields: equal
 when of one class with equal fields, hashed as their field tuple, so a
 transition's identity is (src, pred, dst).
@@ -18,9 +20,8 @@ from .algebra import AlgebraBinding, OpCounters
 from .predicates import (
     TRUE,
     Predicate,
-    PredicateClass,
     _Value,
-    classify,
+    _is_basic,
     iter_atoms,
     mk_not,
     mk_or,
@@ -106,41 +107,17 @@ def _check_pred(binding: AlgebraBinding, p: Predicate) -> list:
 
 
 def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:
-    """No two distinct transitions from one state admit a common letter.
-
-    Each state with two or more outgoing transitions denotes them once and
-    makes one sat call, its AlgebraBinding.splitter, which is None when two
-    of them overlap; the check stops at the first such state.
-    """
-    binding = a.binding
-    for ts in a.out_map().values():
-        if len(ts) < 2:
-            continue
-        if binding.splitter([(None, binding.denote(t.pred)) for t in ts], None, counters) is None:
-            return False
-    return True
+    """No two distinct transitions from one state admit a common letter:
+    _Side.deterministic, one sat call per state with two outgoing
+    transitions or more, up to the first state where two of them overlap."""
+    return _Side(a, counters).deterministic()
 
 
 def is_complete(a: Sfa, counters: OpCounters | None = None) -> bool:
-    """Every state has a transition for every letter: every residual (see
-    _residuals) is empty, checked up to the first state whose is not."""
-    return not any(residual for _, _, residual in _residuals(a, counters))
-
-
-def _residuals(a: Sfa, counters: OpCounters | None = None):
-    """Yield (state, its outgoing transitions, residual) in state order.
-
-    The residual holds the letters no outgoing transition admits: the
-    complement of the union of their denotations, one sat call and
-    out-degree - 1 disjunctions per state.  Nondeterministic states are
-    covered too.
-    """
-    binding = a.binding
-    for q, ts in a.out_map().items():
-        if counters is not None:
-            counters.sat_calls += 1
-            counters.disj_built += max(0, len(ts) - 1)
-        yield q, ts, binding.complement(binding.join([binding.denote(t.pred) for t in ts]))
+    """Every state has a transition for every letter: no state has a
+    residual (_Side.residual), checked up to the first state that has one."""
+    side = _Side(a, counters)
+    return not any(side.residual(q) for q in side.out)
 
 
 def _with_sink(a: Sfa, residuals) -> Sfa:
@@ -167,7 +144,7 @@ def _with_sink(a: Sfa, residuals) -> Sfa:
 
 
 def is_neat(a: Sfa) -> bool:
-    return all(classify(t.pred) is not PredicateClass.GENERAL for t in a.transitions)
+    return all(_is_basic(t.pred) for t in a.transitions)
 
 
 def is_normalized(a: Sfa) -> bool:
@@ -274,3 +251,160 @@ def edges_by_pair(ts) -> dict:
 def dedupe_transitions(ts):
     """Drop exact (src, pred, dst) duplicates, keeping first occurrences."""
     return tuple(dict.fromkeys(ts))
+
+
+class _Side:
+    """One input of a construction, a structural check or a counterexample
+    search, read on demand.
+
+    Caches live as long as the call: each state's edges are denoted the
+    first time the call reads it, as a tuple; moves holds the complements
+    only _minterms needs.  state reads a state, and det a macro-state, as
+    a deterministic state, once, on its first visit.  Without counters the
+    reading counts into its own.
+    """
+
+    def __init__(self, a: Sfa, counters: OpCounters | None = None):
+        self.binding = a.binding
+        self.counters = counters if counters is not None else OpCounters()
+        self.out = a.out_map()
+        self._single = {}
+        self._edges = {}
+        self._moves = {}
+        self._states = {}
+        self._det = {(): a.binding.splitter((), ())}
+
+    def edges(self, q):
+        """q's edges as (singleton target macro-state, denotation), one
+        macro-state tuple per target state."""
+        es = self._edges.get(q)
+        if es is None:
+            denote, single = self.binding.denote, self._single.setdefault
+            es = self._edges[q] = tuple(
+                [(single(t.dst, (t.dst,)), denote(t.pred)) for t in self.out[q]]
+            )
+        return es
+
+    def moves(self, q):
+        """q's edges as the (target, denotation, complement) triples of
+        _minterms."""
+        ms = self._moves.get(q)
+        if ms is None:
+            complement = self.binding.complement
+            ms = self._moves[q] = [
+                (t.dst, d, complement(d)) for t, (_, d) in zip(self.out[q], self.edges(q))
+            ]
+        return ms
+
+    def state(self, q):
+        """The splitter (AlgebraBinding.splitter) of q's edges, q's in order
+        plus any residual edge, to (); None when two of them share a letter."""
+        states = self._states
+        if q not in states:
+            states[q] = self.binding.splitter(self.edges(q), (), self.counters)
+        return states[q]
+
+    def residual(self, q):
+        """The letters no edge of q takes, falsy when there are none: the
+        residual edge of state(q), or, when two edges of q overlap, the
+        complement of their join, counting out-degree - 1 disjunctions."""
+        s = self.state(q)
+        if s is None:
+            ds = [d for _, d in self.edges(q)]
+            self.counters.disj_built += len(ds) - 1
+            return self.binding.complement(self.binding.join(ds))
+        rest = s.edges[len(self.out[q]) :]
+        return rest and rest[0][1]
+
+    def deterministic(self):
+        """No state, reachable or not, has two edges that share a letter."""
+        return all(self.state(q) is not None for q in self.out)
+
+    def det(self, macro):
+        """The splitter of a macro-state read as one deterministic state, its
+        residual leading to (), whose lone edge loops.  A lone state is read
+        by state, and when its edges overlap, like any other macro-state:
+        by one _minterms search over its members' moves, each minterm that
+        takes a move an edge to the sorted tuple of the states they reach."""
+        s = self._det.get(macro)
+        if s is None:
+            binding = self.binding
+            if len(macro) == 1:
+                s = self.state(*macro)
+            if s is None:
+                moves = [move for q in macro for move in self.moves(q)]
+                takes = list(enumerate(reversed(moves)))  # bit j of a mask takes moves[-1 - j]
+                edges = [
+                    (tuple(sorted({m[0] for j, m in takes if mask >> j & 1})), x)
+                    for mask, x in _minterms(binding, moves, self.counters)
+                    if mask
+                ]
+                s = binding.splitter(edges, ())
+            self._det[macro] = s
+        return s
+
+
+def _minterms(binding, moves, counters):
+    """Satisfiable minterms of a transition list, as (mask, solved form).
+
+    moves holds (target, denotation, complement) triples; bit
+    len(moves) - 1 - j of mask is set iff moves[j] is taken rather than
+    negated, so the include-first depth-first search yields descending
+    masks.  Empty partial conjunctions are pruned; each emptiness test
+    counts as a sat call.  The search keeps an explicit stack, so no
+    self-calling closure holds the results in a reference cycle.
+    """
+    n = len(moves)
+    results = []
+    stack = [(0, binding.full, 0)]
+    while stack:
+        j, cur, mask = stack.pop()
+        counters.sat_calls += 1
+        if not cur:
+            continue
+        if j == n:
+            results.append((mask, cur))
+            continue
+        counters.conj_built += 2
+        _, den, neg = moves[j]
+        stack.append((j + 1, binding.meet(cur, neg), mask))
+        stack.append((j + 1, binding.meet(cur, den), mask | 1 << (n - 1 - j)))
+    return results
+
+
+def _signature_blocks(side, start, accepting):
+    """Moore refinement of the macro-states side.det reaches from start by
+    non-empty edges, the empty one () a sink that takes the letters the
+    others leave out; for a deterministic input, its states and that sink.
+
+    Blocks start as rejecting (0) and accepting (1: holding a state of
+    accepting).  Each round a macro-state's signature is its block plus,
+    per target block in ascending order, the join of its denotations into
+    that block; equal signatures share the next round's block, so no two
+    macro-states are compared.  Refinement stops when the block count
+    stops growing.  Returns (macro-state -> block, block -> its sorted
+    (target block, joined denotation) pairs), the second read off the last
+    round's signatures, which agree within each block.  Each signature
+    counts one disjunction per denotation joined into another.
+    """
+    join, counters = side.binding.join, side.counters
+    keys, edges = _explore(start, lambda m: ((d, dst) for dst, d in side.det(m).edges if d))
+    moves = [[] for _ in keys]
+    for i, d, j in edges:
+        moves[i].append((j, d))
+    block = [int(not accepting.isdisjoint(m)) for m in keys]
+    count = len(set(block))
+
+    def signature(i):
+        by_block = {}
+        for j, d in moves[i]:
+            by_block.setdefault(block[j], []).append(d)
+        counters.disj_built += len(moves[i]) - len(by_block)
+        return block[i], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
+
+    while True:
+        ids = {}
+        refined = [ids.setdefault(signature(i), len(ids)) for i in range(len(keys))]
+        if len(ids) == count:
+            return dict(zip(keys, block)), {b: letters for b, letters in ids}
+        block, count = refined, len(ids)

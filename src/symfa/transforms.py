@@ -10,11 +10,9 @@ structural equality.
 
 from .algebra import OpCounters
 from .errors import UnsupportedAlgebra
-from .operations import _Side, _signature_blocks
 from .predicates import (
     Atom,
-    PredicateClass,
-    classify,
+    _is_basic,
     mk_or,
 )
 from .propositional import monomial_to_pred, monomials_of
@@ -22,11 +20,11 @@ from .sfa import (
     Sfa,
     Transition,
     _explore,
-    _residuals,
+    _Side,
+    _signature_blocks,
     _with_sink,
     dedupe_transitions,
     edges_by_pair,
-    fresh_state_name,  # still importable from here
     is_neat,
     is_normalized,
 )
@@ -44,7 +42,7 @@ def to_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         return a
     edges = []
     for t in a.transitions:
-        if classify(t.pred) is not PredicateClass.GENERAL:
+        if _is_basic(t.pred):
             edges.append(t)
         elif a.binding.is_monotonic:
             for p in a.binding.basic_preds(a.binding.denote(t.pred)):
@@ -78,18 +76,20 @@ def to_feasible(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 def complete(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Add a non-accepting sink absorbing every uncovered letter.
 
-    Each state's residual (sfa._residuals), computed with one sat call,
-    goes to the sink of sfa._with_sink: at most out-degree + 1 single-atom
-    edges per state for neat interval input, and none when every residual
-    is empty.  The added predicates avoid the covered letters, so
-    determinism is kept."""
-    return _with_sink(a, list(_residuals(a, counters)))
+    Each state's residual (sfa._Side.residual) goes to the sink of
+    sfa._with_sink: at most out-degree + 1 single-atom edges per state for
+    neat interval input, and none when every residual is empty.  A state
+    with two edges or more costs one sat call, its overlap test, and one
+    whose edges overlap out-degree - 1 disjunctions more.  The added
+    predicates avoid the covered letters, so determinism is kept."""
+    side = _Side(a, counters)
+    return _with_sink(a, [(q, ts, side.residual(q)) for q, ts in side.out.items()])
 
 
 def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """The unique minimal-state deterministic complete neat form.
 
-    operations._signature_blocks refines the macro-states the subset
+    sfa._signature_blocks refines the macro-states the subset
     construction reaches, plus a sink; on deterministic input those are
     a's reachable states.  Each block's signature already holds, per
     target block, the canonical intervals of its letters; they become one

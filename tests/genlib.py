@@ -36,7 +36,7 @@ from symfa import (
 )
 from symfa.propositional import all_valuations, disjoint_monomials, monomial_to_pred
 from symfa.sfa import dedupe_transitions, rename_states
-from symfa.transforms import fresh_state_name
+from symfa.sfa import fresh_state_name
 
 POOL_LO, POOL_HI = -8, 16
 

@@ -171,7 +171,7 @@ def test_each_macro_state_is_searched_alone_and_once_per_call(monkeypatch):
     unsatisfiable self-loop, so two macro-states never read the same
     moves, and b's states are renamed apart from a's."""
     searches = []
-    minterms = operations._minterms
+    minterms = sfa._minterms
 
     def recorded(binding, moves, counters):
         searches.append(moves)
@@ -182,7 +182,7 @@ def test_each_macro_state_is_searched_alone_and_once_per_call(monkeypatch):
         a = Sfa(a.binding, a.states, a.initial, a.accepting, a.transitions + loops)
         return rename_states(a, {q: prefix + q for q in a.states})
 
-    monkeypatch.setattr(operations, "_minterms", recorded)
+    monkeypatch.setattr(sfa, "_minterms", recorded)
     rng = random.Random(241)
     total = 0
     for i in range(200):

@@ -50,8 +50,7 @@ from symfa.oracle import (
 )
 from symfa import operations, sfa, transforms
 from symfa.algebra import IntervalBinding, PropositionalBinding
-from symfa.operations import _minterms, _Side, _signature_blocks
-from symfa.sfa import rename_states
+from symfa.sfa import _minterms, _Side, _signature_blocks, fresh_state_name, rename_states
 from genlib import (
     add_unsat_edge,
     combination_agrees,
@@ -66,7 +65,6 @@ from genlib import (
     rand_sfa,
     rewrite,
 )
-from symfa.transforms import fresh_state_name
 
 
 def ia(lo, hi):

@@ -50,3 +50,39 @@ def test_the_check_sees_a_foreign_import():
     roots = [root for _, root in _imported_roots(tree)]
     assert roots == ["os", "symfa", "numpy", "typing"]
     assert "numpy" not in sys.stdlib_module_names
+
+
+def _layering_faults(name, tree):
+    """Relative imports in module name that break the layering: a private
+    name taken from a module other than predicates (the value base) or
+    sfa (the one reading of a state and what constructions share), and
+    anything transforms takes from operations."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                module = node.module or alias.name
+                private = alias.name.startswith("_") and module not in ("predicates", "sfa")
+                if private or (name == "transforms" and module == "operations"):
+                    yield f"{name}.py:{node.lineno}: {module}.{alias.name}"
+
+
+def test_private_names_come_only_from_predicates_and_sfa():
+    found = [
+        fault
+        for path in sorted(SRC.glob("*.py"))
+        for fault in _layering_faults(path.stem, ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def test_the_layering_check_sees_a_fault():
+    tree = ast.parse(
+        "from .sfa import _Side\nfrom .operations import _Side\nfrom . import operations\n"
+        "from .operations import product\n"
+    )
+    assert list(_layering_faults("transforms", tree)) == [
+        "transforms.py:2: operations._Side",
+        "transforms.py:3: operations.operations",
+        "transforms.py:4: operations.product",
+    ]
+    assert list(_layering_faults("cli", tree)) == ["cli.py:2: operations._Side"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -245,8 +246,8 @@ def test_complete_properties():
         t = size_triple(a)
         counters = OpCounters()
         c = complete(a, counters)
-        # coverage is decided once: one sat call per state, sink or no sink
-        assert counters.sat_calls == len(a.states)
+        # one sat call per state with two edges or more, sink or no sink
+        assert counters.sat_calls == sum(s for s, _, _ in _reading_costs(a))
         assert is_complete(c)
         if a.binding.is_monotonic:
             assert len(c.transitions) - len(a.transitions) <= t.n * (t.m + 1) + 1
@@ -255,6 +256,52 @@ def test_complete_properties():
             assert is_neat(c)
         if is_deterministic(a):
             assert is_deterministic(c)
+
+
+def _reading_costs(a):
+    """Per state, in state order, (sat calls, disjunctions, residual) of one
+    reading, found pairwise: one sat call at a state with two edges or
+    more, out-degree - 1 disjunctions more where two of them overlap, and
+    the complement of the join of the edges' denotations."""
+    b = a.binding
+    for ts in a.out_map().values():
+        ds = [b.denote(t.pred) for t in ts]
+        overlap = any(b.meet(x, y) for i, x in enumerate(ds) for y in ds[i + 1 :])
+        yield int(len(ds) > 1), len(ds) - 1 if overlap else 0, b.complement(b.join(ds))
+
+
+def test_complete_and_is_complete_read_each_state_once():
+    """complete leads each state's residual to the sink, also where two
+    edges overlap and no splitter gives it; is_complete counts the same
+    costs up to the first state that has a residual."""
+    rng = random.Random(59)
+    makers = (
+        lambda: rand_sfa(rng, interval_binding(), m_max=4),
+        lambda: rand_sfa(rng, propositional_binding(["p1", "p2", "p3"]), m_max=4),
+        lambda: rand_det_interval_sfa(rng, complete=False),
+        lambda: rand_det_prop_sfa(rng, complete=False),
+    )
+    kinds = Counter()
+    for i in range(160):
+        a = makers[i % 4]()
+        b = a.binding
+        costs = list(_reading_costs(a))
+        counters = OpCounters()
+        c = complete(a, counters)
+        assert counters == OpCounters(sum(s for s, _, _ in costs), 0, sum(d for _, d, _ in costs))
+        sink = set(c.states) - set(a.states)
+        out = c.out_map()
+        for q, (s, d, residual) in zip(a.states, costs):
+            assert b.join([b.denote(t.pred) for t in out[q] if t.dst in sink]) == residual
+            kinds[b.is_monotonic, min(len(a.out_map()[q]), 2), d > 0] += 1
+        upto = next((j + 1 for j, (_, _, r) in enumerate(costs) if r), len(costs))
+        counters = OpCounters()
+        assert is_complete(a, counters) == (not any(r for _, _, r in costs))
+        assert counters == OpCounters(
+            sum(s for s, _, _ in costs[:upto]), 0, sum(d for _, d, _ in costs[:upto])
+        )
+    # both algebras: states with no edge, one edge, disjoint and overlapping edges
+    assert all(kinds[m, n, o] for m in (True, False) for n, o in ((0, 0), (1, 0), (2, 0), (2, 1)))
 
 
 def test_canonical_neat_two_state_is_a_fixed_point(two_state):
