@@ -225,11 +225,8 @@ class PropositionalBinding(AlgebraBinding):
         return propositional.Splitter.of(edges, self.k, rest)
 
     def basic_preds(self, x) -> list:
-        """propositional.disjoint_monomials of x, as predicates."""
-        return [
-            propositional.monomial_to_pred(m)
-            for m in propositional.disjoint_monomials(x, self.k)
-        ]
+        """propositional.disjoint_monomials of x: its reduced decision-tree cover."""
+        return propositional.disjoint_monomials(x, self.k)
 
     def prop_name(self, var: int) -> str:
         return self.props[var]

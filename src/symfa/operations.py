@@ -165,7 +165,7 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     reach, in include-first order.  Partial conjunctions are pruned as soon
     as they become unsatisfiable, and the letters no edge takes are omitted,
     so the output may be incomplete.  Minterms are emitted as canonical
-    atoms (interval) or disjoint monomials (propositional), hence always
+    atoms (interval) or reduced decision-tree paths (propositional), hence
     neat and pairwise disjoint: the output is deterministic.  Macro-states
     are explored breadth-first and named once each (see _state_names).  An
     unsatisfiable transition's include branch is pruned, or its denotation

@@ -215,17 +215,27 @@ class Splitter:
                     yield x, y, m
 
 
-def disjoint_monomials(mask: int, k: int):
-    """Cover a truth table by pairwise disjoint monomials.
+@functools.cache
+def _literals(k: int):
+    """Per variable i < k, its negated and its plain literal as Atoms."""
+    return tuple((Atom(LiteralAtom(i, True)), Atom(LiteralAtom(i, False))) for i in range(k))
 
-    Decision-tree decomposition on variables in index order: a subtree that
-    is uniformly full emits the monomial of its path, so the cover is exact
-    and its members never overlap.  At depth i the subtree is a table of
-    2^(k-i) bits whose low half has variable i false.  Used where expanded
-    predicates must not reintroduce nondeterminism.  The split keeps an
-    explicit stack, so no self-calling closure holds the output in a
-    reference cycle.
+
+def disjoint_monomials(mask: int, k: int) -> list:
+    """Cover a truth table by pairwise disjoint basic predicates: the paths
+    of its reduced ordered decision tree (Bryant, IEEE TC 1986).
+
+    Variables go in index order.  At depth i the subtable has 2^(k-i) bits,
+    its low half with variable i false; equal halves are walked once with
+    no literal for i, else the low (negated) half is split first.  A full
+    subtable emits its path as mk_and of its literal atoms builds it: TRUE,
+    one Atom or an And.  So the cover is exact and pairwise disjoint, no
+    member mentions a variable its subtable does not depend on, and it has
+    no more members than a split on every variable: expanded predicates
+    reintroduce no nondeterminism.  An explicit stack, not a self-calling
+    closure, keeps the output out of a reference cycle.
     """
+    lits = _literals(k)
     out = []
     stack = [(0, (), mask)]
     while stack:
@@ -234,10 +244,15 @@ def disjoint_monomials(mask: int, k: int):
             continue
         width = 1 << (k - i)
         if m == (1 << width) - 1:
-            out.append(path)
+            out.append(And(path) if len(path) > 1 else path[0] if path else TRUE)
             continue
         half = width >> 1
+        low, high = m & ((1 << half) - 1), m >> half
+        if low == high:
+            stack.append((i + 1, path, low))
+            continue
+        negated, plain = lits[i]
         # pushed second, so the negated (low) half is split first
-        stack.append((i + 1, path + (LiteralAtom(i, negated=False),), m >> half))
-        stack.append((i + 1, path + (LiteralAtom(i, negated=True),), m & ((1 << half) - 1)))
+        stack.append((i + 1, path + (plain,), high))
+        stack.append((i + 1, path + (negated,), low))
     return out

@@ -34,7 +34,7 @@ from symfa import (
     product,
     propositional_binding,
 )
-from symfa.propositional import all_valuations, disjoint_monomials, monomial_to_pred
+from symfa.propositional import all_valuations, monomial_to_pred
 from symfa.sfa import dedupe_transitions, rename_states
 from symfa.sfa import fresh_state_name
 
@@ -218,9 +218,32 @@ def rand_det_prop_sfa(rng: random.Random, k=3, n_max=4, complete=True) -> Sfa:
                 continue
             dst = rng.choice(states)
             mask = sum(1 << _valuation_index(v) for v in chunk)
-            for m in disjoint_monomials(mask, k):
+            for m in unreduced_monomials(mask, k):
                 edges.append(Transition(q, monomial_to_pred(m), dst))
     return Sfa(binding, states, states[0], _accepting(rng, states), tuple(edges))
+
+
+def unreduced_monomials(mask: int, k: int):
+    """Cover a truth table by pairwise disjoint monomials (LiteralAtom
+    tuples), splitting on every variable in index order, low (negated)
+    half first, until a subtable is full.  Never fewer pieces than the
+    reduced cover of propositional.disjoint_monomials; kept here so the
+    seeded inputs of rand_det_prop_sfa, and the goldens built from them,
+    do not move when that cover does."""
+    out = []
+    stack = [(0, (), mask)]
+    while stack:
+        i, path, m = stack.pop()
+        if not m:
+            continue
+        width = 1 << (k - i)
+        if m == (1 << width) - 1:
+            out.append(path)
+            continue
+        half = width >> 1
+        stack.append((i + 1, path + (LiteralAtom(i, negated=False),), m >> half))
+        stack.append((i + 1, path + (LiteralAtom(i, negated=True),), m & ((1 << half) - 1)))
+    return out
 
 
 def _valuation_index(v) -> int:

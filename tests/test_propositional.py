@@ -14,6 +14,7 @@ from symfa import (
     mk_or,
     propositional_binding,
 )
+from symfa.predicates import iter_atoms
 from symfa.propositional import (
     all_valuations,
     disjoint_monomials,
@@ -21,7 +22,7 @@ from symfa.propositional import (
     monomial_to_pred,
     monomials_of,
 )
-from genlib import rand_monomial, rand_prop_pred
+from genlib import rand_monomial, rand_prop_pred, unreduced_monomials
 
 K = 3
 BINDING = propositional_binding(["p1", "p2", "p3"])
@@ -125,10 +126,65 @@ def test_disjoint_monomials_partition_their_mask():
         cover = disjoint_monomials(chosen, K)
         seen = 0
         for m in cover:
-            mask = mask_of(monomial_to_pred(m), K)
+            mask = mask_of(m, K)
             assert not (mask & seen)
             seen |= mask
         assert seen == chosen
+
+
+def _masks_on_some_variables(k, count=40):
+    """Seeded truth tables, each of a random function of a random subset
+    of the k variables, so many tables ignore some variables."""
+    rng = random.Random(f"reduced/{k}")
+    vals = list(all_valuations(k))
+    for _ in range(count):
+        used = [v for v in range(k) if rng.random() < 0.6]
+        value, mask = {}, 0
+        for i, v in enumerate(vals):
+            key = tuple(v[j] for j in used)
+            if value.setdefault(key, rng.random() < 0.5):
+                mask |= 1 << i
+        yield mask
+
+
+def _depends_on(mask, var, k):
+    """Whether flipping var changes the table's value on some valuation."""
+    high = mask_of(lit(var), k)
+    return (mask & high) >> (1 << (k - 1 - var)) != mask & ~high
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_reduced_cover_is_exact_and_skips_ignored_variables(k):
+    for mask in _masks_on_some_variables(k):
+        cover = disjoint_monomials(mask, k)
+        seen = 0
+        for piece in cover:
+            m = mask_of(piece, k)
+            assert m and not (m & seen)
+            seen |= m
+        assert seen == mask
+        mentioned = {atom.var for piece in cover for atom in iter_atoms(piece)}
+        assert all(_depends_on(mask, var, k) for var in mentioned)
+        assert len(cover) <= len(unreduced_monomials(mask, k))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_reduced_cover_pieces_are_the_mk_and_of_their_literals(k):
+    """The cover builds its predicates directly; each must be the value
+    monomial_to_pred builds from the piece's own literals."""
+    for mask in _masks_on_some_variables(k):
+        for piece in disjoint_monomials(mask, k):
+            assert piece == monomial_to_pred(monomials_of(piece)[0])
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_reduced_cover_of_true_and_of_one_literal(k):
+    full = mask_of(TRUE, k)
+    assert disjoint_monomials(full, k) == [TRUE]
+    assert disjoint_monomials(0, k) == []
+    for var in range(k):
+        for neg in (False, True):
+            assert disjoint_monomials(mask_of(lit(var, neg), k), k) == [lit(var, neg)]
 
 
 @pytest.mark.parametrize("k", [8, 10])
@@ -143,7 +199,7 @@ def test_truth_tables_agree_with_evaluate_exhaustively(k):
         assert [mask >> i & 1 == 1 for i in range(len(vals))] == truth
         assert binding.sat(p) == next((v for v, t in zip(vals, truth) if t), None)
         cover = disjoint_monomials(mask, k)
-        assert sum(mask_of(monomial_to_pred(m), k) for m in cover) == mask
+        assert sum(mask_of(m, k) for m in cover) == mask
 
 
 def test_k16_witnesses_satisfy_and_contradictions_are_none():
