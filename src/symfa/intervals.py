@@ -90,7 +90,7 @@ class Splitter:
     of() sorts the state's atoms once by start.  That one sort tests the
     edges for overlap (neighbours only), reads the residual off the gaps
     between atoms (no union, no complement), and leaves the index that
-    split bisects into: atoms and the gaps between them tile the line in
+    split bisects into and signature walks: atoms and gaps tile the line in
     order, and owners holds each tile's edge number, a gap's being the
     residual edge's.  edges is the input plus, when the edges leave
     letters out, that residual edge (rest, gaps).
@@ -151,6 +151,30 @@ class Splitter:
                     k += 1
             for j in sorted(groups):
                 yield x, edges[j][0], tuple(groups[j])
+
+    def signature(self, blocks, counters):
+        """The letter -> block map of these edges, blocks[j] being edge j's
+        target block: the start and block of each maximal run of tiles into
+        one block, flattened, so the edges' cut of the line does not show.
+        Counts one disjunction per tile merged into a run."""
+        sig = [NEG_INF, blocks[self.owners[0]]]
+        for a, j in zip(self.atoms, self.owners):
+            b = blocks[j]
+            if b != sig[-1]:
+                sig += a.lo, b
+        counters.disj_built += len(self.atoms) - len(sig) // 2
+        return tuple(sig)
+
+    def pieces(self, blocks):
+        """signature's map as (canonical list, block) pairs in letter order:
+        one interval per run, a run of one tile being that tile's atom."""
+        runs = []
+        for a, j in zip(self.atoms, self.owners):
+            if runs and runs[-1][2] == blocks[j]:
+                runs[-1][1] = a
+            else:
+                runs.append([a, a, blocks[j]])
+        return [((x if x is y else IntervalAtom(x.lo, y.hi),), b) for x, y, b in runs]
 
 
 def to_dnf(p: Predicate) -> IntervalDnf:

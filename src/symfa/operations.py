@@ -21,8 +21,8 @@ most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
 each test after that is a merge of two interval lists or one AND of two
 truth tables.  minimize, complement and union products read every state,
 reachable or not; the rest read a state when they first step from it.  A
-minimize round costs one join per state and target block, not one meet
-per pair of edges of two states.
+minimize round reads each state's letter -> block map off its splitter in
+one pass over its tiles or truth tables, with no meet per pair of edges.
 
 Inclusion and equivalence are decided on the fly and construct nothing:
 counterexample runs one breadth-first search over pairs of states or
@@ -230,11 +230,14 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     neat_input = all(_is_basic(t.pred) for t in a.transitions if t.src in block)
     edges = []
     kept = []
+    empty = False
     for ms in blocks:
         nm = name_of[ms[0]]
         if nm == dropped:
             continue
         kept.append(nm)
+        # a deterministic state's edges share no letter, so only empty ones can repeat
+        empty = empty or not all(d for _, d in side.edges(ms[0]))
         rep_edges = [
             Transition(nm, t.pred, name_of[t.dst])
             for t in side.out[ms[0]]
@@ -251,7 +254,7 @@ def minimize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
         tuple(kept),
         name_of[a.initial],
         frozenset(name_of[q] for q in a.accepting if q in name_of),
-        dedupe_transitions(edges),
+        dedupe_transitions(edges) if empty else edges,
     )
 
 

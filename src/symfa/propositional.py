@@ -214,6 +214,22 @@ class Splitter:
                 if m:
                     yield x, y, m
 
+    def signature(self, blocks, counters=None):
+        """The letter -> block map of these edges, blocks[j] being edge j's
+        target block: (block, OR of its tables) pairs sorted by block.
+        Counts one disjunction per table ORed into another."""
+        by_block = {}
+        for (_, d), b in zip(self.edges, blocks):
+            if d:
+                by_block[b] = by_block.get(b, 0) | d
+        if counters is not None:
+            counters.disj_built += sum(1 for _, d in self.edges if d) - len(by_block)
+        return tuple(sorted(by_block.items()))
+
+    def pieces(self, blocks):
+        """signature's map as (truth table, block) pairs in letter order."""
+        return sorted(((d, b) for b, d in self.signature(blocks)), key=lambda e: e[0] & -e[0])
+
 
 @functools.cache
 def _literals(k: int):

@@ -378,33 +378,27 @@ def _signature_blocks(side, start, accepting):
     others leave out; for a deterministic input, its states and that sink.
 
     Blocks start as rejecting (0) and accepting (1: holding a state of
-    accepting).  Each round a macro-state's signature is its block plus,
-    per target block in ascending order, the join of its denotations into
-    that block; equal signatures share the next round's block, so no two
-    macro-states are compared.  Refinement stops when the block count
-    stops growing.  Returns (macro-state -> block, block -> its sorted
-    (target block, joined denotation) pairs), the second read off the last
-    round's signatures, which agree within each block.  Each signature
-    counts one disjunction per denotation joined into another.
+    accepting).  Each round a macro-state's signature is its block plus
+    its splitter's signature, its letter -> block map as ints: nothing is
+    joined.  Refinement stops when the block count stops growing.  Returns
+    (macro-state -> block, pieces), pieces(b) reading block b's pieces off
+    one member's splitter under the final blocks, as members' maps agree.
     """
-    join, counters = side.binding.join, side.counters
-    keys, edges = _explore(start, lambda m: ((d, dst) for dst, d in side.det(m).edges if d))
-    moves = [[] for _ in keys]
-    for i, d, j in edges:
-        moves[i].append((j, d))
+    keys, _ = _explore(start, lambda m: ((d, dst) for dst, d in side.det(m).edges if d))
+    index = {m: i for i, m in enumerate(keys)}
+    splitters = [side.det(m) for m in keys]
+    targets = [[index.get(dst, len(keys)) for dst, _ in s.edges] for s in splitters]
     block = [int(not accepting.isdisjoint(m)) for m in keys]
     count = len(set(block))
-
-    def signature(i):
-        by_block = {}
-        for j, d in moves[i]:
-            by_block.setdefault(block[j], []).append(d)
-        counters.disj_built += len(moves[i]) - len(by_block)
-        return block[i], tuple(sorted((b, join(ds)) for b, ds in by_block.items()))
-
     while True:
+        block.append(None)  # index len(keys): an empty edge's target, no key
         ids = {}
-        refined = [ids.setdefault(signature(i), len(ids)) for i in range(len(keys))]
+        refined = [
+            ids.setdefault((block[i], s.signature([block[j] for j in ts], side.counters)), len(ids))
+            for i, (s, ts) in enumerate(zip(splitters, targets))
+        ]
         if len(ids) == count:
-            return dict(zip(keys, block)), {b: letters for b, letters in ids}
+            break
         block, count = refined, len(ids)
+    member = dict(zip(block, zip(splitters, targets)))
+    return dict(zip(keys, block)), lambda b: member[b][0].pieces([block[j] for j in member[b][1]])

@@ -91,32 +91,24 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 
     sfa._signature_blocks refines the macro-states the subset
     construction reaches, plus a sink; on deterministic input those are
-    a's reachable states.  Each block's signature already holds, per
-    target block, the canonical intervals of its letters; they become one
-    transition per atom, and blocks are renamed q0, q1, ... in
-    breadth-first order from the initial state's block, exploring
-    transitions by ascending interval.  No step sees state names,
-    unreachable states or unsatisfiable edges, so language-equal inputs
-    yield structurally equal outputs.  Interval binding only: no unique
-    minimal neat form exists for the propositional algebra.
+    a's reachable states.  Each piece of a block, a maximal run of letters
+    into one target block, becomes one transition; blocks are renamed q0,
+    q1, ... breadth-first from the initial state's block, pieces in letter
+    order.  No step sees state names, unreachable states or unsatisfiable
+    edges, so language-equal inputs yield structurally equal outputs.
+    Interval binding only: no unique minimal neat form exists for the
+    propositional algebra.
     """
     if not a.binding.is_monotonic:
         raise UnsupportedAlgebra("canonical minimal forms need the interval algebra")
     counters = counters if counters is not None else OpCounters()
-    block, letters = _signature_blocks(_Side(a, counters), (a.initial,), a.accepting)
-    outgoing = {
-        b: sorted(((atom, dst) for dst, x in sig for atom in x), key=lambda e: (e[0].lo, e[0].hi))
-        for b, sig in letters.items()
-    }
-    order, edges = _explore(block[(a.initial,)], outgoing.__getitem__)
-    accepting = {b for m, b in block.items() if not a.accepting.isdisjoint(m)}
-    return Sfa(
-        a.binding,
-        tuple(f"q{i}" for i in range(len(order))),
-        "q0",
-        frozenset(f"q{i}" for i, b in enumerate(order) if b in accepting),
-        tuple(Transition(f"q{i}", Atom(atom), f"q{j}") for i, atom, j in edges),
-    )
+    block, pieces = _signature_blocks(_Side(a, counters), (a.initial,), a.accepting)
+    order, edges = _explore(block[(a.initial,)], pieces)
+    names = [f"q{i}" for i in range(len(order))]
+    final = {b for m, b in block.items() if not a.accepting.isdisjoint(m)}
+    accepting = (nm for nm, b in zip(names, order) if b in final)
+    edges = (Transition(names[i], Atom(x), names[j]) for i, (x,), j in edges)
+    return Sfa(a.binding, names, "q0", accepting, edges)
 
 
 def canonical_minimal_normalized(a: Sfa, counters: OpCounters | None = None) -> Sfa:

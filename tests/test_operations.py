@@ -387,7 +387,8 @@ def test_minimize_merges_states_that_differ_by_an_unsat_edge():
 
 
 def test_signature_blocks_count_joins_per_state_and_round():
-    # q0 reaches q1 by two edges: one join in each of the two rounds
+    # q0 reaches q1 by two adjacent edges: one tile merged into a run in
+    # each of the two rounds
     a = Sfa(
         interval_binding(),
         ("q0", "q1", "q2"),
@@ -401,12 +402,100 @@ def test_signature_blocks_count_joins_per_state_and_round():
         ),
     )
     c = OpCounters()
-    block, letters = _signature_blocks(_Side(a, c), ("q0",), a.accepting)
+    block, pieces = _signature_blocks(_Side(a, c), ("q0",), a.accepting)
     assert len(set(block.values())) == 3
-    assert [dst for dst, _ in letters[block[("q0",)]]] == [block[("q1",)]]
+    assert pieces(block[("q0",)]) == [((IntervalAtom(NEG_INF, POS_INF),), block[("q1",)])]
     assert c.disj_built == 2
     assert c.sat_calls == 1  # one overlap test, at q0
     assert list(block) == [("q0",), ("q1",), ("q2",)]  # complete: no sink
+    # two edges into q1 that a run into q2 keeps apart merge into no run
+    apart = (Transition("q0", ia(NEG_INF, 0), "q1"), Transition("q0", ia(5, POS_INF), "q1"))
+    apart += (Transition("q0", ia(0, 5), "q2"),) + a.transitions[2:]
+    c = OpCounters()
+    _signature_blocks(_Side(Sfa(a.binding, a.states, "q0", a.accepting, apart), c), ("q0",), {"q2"})
+    assert c.disj_built == 0
+    # truth tables: one table ORed into another per round, as for intervals
+    b = Sfa(
+        propositional_binding(["p1"]),
+        a.states,
+        "q0",
+        a.accepting,
+        (Transition("q0", lit(0), "q1"), Transition("q0", lit(0, neg=True), "q1")) + a.transitions[2:],
+    )
+    c = OpCounters()
+    block, pieces = _signature_blocks(_Side(b, c), ("q0",), b.accepting)
+    assert pieces(block[("q0",)]) == [(0b11, block[("q1",)])]
+    assert c.disj_built == 2
+
+
+@pytest.mark.parametrize("algebra", ["interval", "propositional"])
+def test_signature_blocks_share_a_block_however_the_edges_cut_the_letters(algebra):
+    # s1 cuts into two edges what s2 takes in one; s3 maps fewer letters to t
+    if algebra == "interval":
+        binding, fronts = interval_binding(), [ia(NEG_INF, 0), ia(0, 10), ia(10, POS_INF)]
+        s1, s2, s3 = [ia(0, 5), ia(5, 10)], [ia(0, 10)], [ia(0, 9)]
+    else:
+        binding = propositional_binding(["p1", "p2"])
+        both, only = mk_and([lit(0), lit(1)]), mk_and([lit(0), lit(1, neg=True)])
+        fronts = [lit(0, neg=True), both, only]
+        s1, s2, s3 = [both, only], [lit(0)], [both]
+    edges = [Transition("q0", p, s) for p, s in zip(fronts, ("s1", "s2", "s3"))]
+    edges += [Transition(s, p, "t") for s, ps in zip(("s1", "s2", "s3"), (s1, s2, s3)) for p in ps]
+    a = Sfa(binding, ("q0", "s1", "s2", "s3", "t"), "q0", {"t"}, edges + [Transition("t", TRUE, "t")])
+    block, pieces = _signature_blocks(_Side(a), ("q0",), a.accepting)
+    assert block[("s1",)] == block[("s2",)] != block[("s3",)]
+    assert len(pieces(block[("s1",)])) == (3 if algebra == "interval" else 2)
+
+
+@pytest.mark.parametrize("algebra", ["interval", "propositional"])
+def test_signature_blocks_pieces_partition_the_letters_in_order(algebra):
+    rng = random.Random(33)
+    for i in range(60):
+        complete = rng.random() < 0.5
+        if algebra == "interval":
+            a = rand_det_interval_sfa(rng, n_max=6, complete=complete)
+        else:
+            a = rand_det_prop_sfa(rng, n_max=6, complete=complete)
+        a = rewrite(rng, a) if i % 3 else rand_sfa(rng, a.binding, n_max=5)
+        binding, side = a.binding, _Side(a)
+        block, pieces = _signature_blocks(side, (a.initial,), a.accepting)
+        for m, b in block.items():
+            ps = pieces(b)
+            ds = [d for d, _ in ps]
+            assert all(not binding.meet(x, y) for j, x in enumerate(ds) for y in ds[j + 1 :])
+            assert binding.join(ds) == binding.full
+            firsts = [d[0].lo if algebra == "interval" else d & -d for d in ds]
+            assert firsts == sorted(firsts)
+            if algebra == "interval":
+                assert all(len(d) == 1 for d in ds)
+                assert all(x[1] != y[1] for x, y in zip(ps, ps[1:]))
+            # the pieces are m's own letter -> block map
+            for dst, e in side.det(m).edges:
+                into = binding.join([d for d, tb in ps if tb == block.get(dst)])
+                assert not binding.meet(e, binding.complement(into))
+
+
+def test_minimize_keeps_one_of_two_unsat_edges_that_merge():
+    # q1 and q2 share a block, so q0's two unsatisfiable edges meet there
+    unsat = mk_and([ia(0, 1), ia(2, 3)])
+    a = Sfa(
+        interval_binding(),
+        ("q0", "q1", "q2"),
+        "q0",
+        {"q1", "q2"},
+        (
+            Transition("q0", ia(NEG_INF, 0), "q1"),
+            Transition("q0", ia(0, POS_INF), "q2"),
+            Transition("q0", unsat, "q1"),
+            Transition("q0", unsat, "q2"),
+            Transition("q1", TRUE, "q1"),
+            Transition("q2", TRUE, "q2"),
+        ),
+    )
+    mini = minimize(a)
+    assert len(mini.transitions) == 4
+    assert validate(mini) == []
+    assert oracle_equal(mini, a)
 
 
 def test_signature_blocks_read_a_sink_and_refuse_overlapping_edges():
