@@ -151,7 +151,8 @@ class IntervalBinding(AlgebraBinding):
         return intervals.Splitter.of(edges, rest)
 
     def basic_preds(self, x) -> list:
-        """One atom per interval of x: pairwise disjoint basic predicates."""
+        """One atom per interval of x, the maximal runs of its letters:
+        pairwise disjoint basic predicates."""
         return [Atom(atom) for atom in x]
 
 
@@ -225,7 +226,8 @@ class PropositionalBinding(AlgebraBinding):
         return propositional.Splitter.of(edges, self.k, rest)
 
     def basic_preds(self, x) -> list:
-        """propositional.disjoint_monomials of x: its reduced decision-tree cover."""
+        """propositional.disjoint_monomials of x: the paths of its three-way
+        decision tree, pairwise disjoint monomials."""
         return propositional.disjoint_monomials(x, self.k)
 
     def prop_name(self, var: int) -> str:

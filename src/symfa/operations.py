@@ -4,9 +4,9 @@ counterexample, a shortest word two automata disagree on.
 
 Size discipline: product keeps one edge per synchronized transition pair,
 complement adds at most one state and (general path) one edge per state,
-determinization is a reachable-subset construction whose transitions are
-satisfiable minterms, minimization is Moore partition refinement on
-per-state signatures.  Neat inputs produce neat outputs throughout:
+determinization is a reachable-subset construction with one transition
+per target subset, the join of the satisfiable minterms that reach it,
+minimization is Moore partition refinement on per-state signatures.  Neat inputs produce neat outputs throughout:
 interval negation expands into atoms, propositional residuals into
 disjoint monomials.
 
@@ -16,7 +16,8 @@ solved form (see algebra.py), and each state or macro-state is read once
 as a deterministic state (AlgebraBinding.splitter), which gives the
 overlap test, the letters no edge takes and the edges to meet, together.
 Readings count one sat call per overlap test and per _minterms node, none
-per denotation.  A denotation costs O(l) interval operations yielding at
+per denotation, and one disjunction per minterm joined into another of
+its target.  A denotation costs O(l) interval operations yielding at
 most 2l intervals, or O(l) big-int operations on 2^k-bit truth tables;
 each test after that is a merge of two interval lists or one AND of two
 truth tables.  minimize, complement and union products read every state,
@@ -161,12 +162,14 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     lone state whose edges are pairwise disjoint keeps them; from any other,
     every sign assignment over its outgoing component transitions (take ψ or
     ¬ψ) yields a minterm, and satisfiable minterms with at least one
-    positive member become transitions to the set of states those members
-    reach, in include-first order.  Partial conjunctions are pruned as soon
-    as they become unsatisfiable, and the letters no edge takes are omitted,
-    so the output may be incomplete.  Minterms are emitted as canonical
-    atoms (interval) or reduced decision-tree paths (propositional), hence
-    neat and pairwise disjoint: the output is deterministic.  Macro-states
+    positive member lead to the set of states those members reach.  The
+    minterms of one target set are joined into one transition, targets in
+    include-first order of their first minterm.  Partial conjunctions are
+    pruned as soon as they become unsatisfiable, and the letters no edge
+    takes are omitted, so the output may be incomplete.  Each transition's
+    letters are emitted by basic_preds: maximal canonical atoms (interval)
+    or three-way decision-tree paths (propositional), hence neat and
+    pairwise disjoint: the output is deterministic.  Macro-states
     are explored breadth-first and named once each (see _state_names).  An
     unsatisfiable transition's include branch is pruned, or its denotation
     is empty, so no pre-pass drops it; a macro-state's edges are disjoint
@@ -174,7 +177,10 @@ def determinize(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     per lone state with two edges or more, and the nodes of one pruned
     search per other reachable macro-state and per lone state whose test
     fails: q -[0,10)-> r, q -[5,15)-> s costs 9 = 1 + 7 + 1, the last for
-    the search of {r,s}, which has no edges.  Only the states some reachable
+    the search of {r,s}, which has no edges.  Each minterm joined into
+    another of its target counts one disjunction: q -[0,10)-> r,
+    q -[5,15)-> r costs 8 sat calls and 2 disjunctions, for one edge
+    [0,15) to {r}.  Only the states some reachable
     macro-state holds are denoted (_Side), each edge once.
     """
     counters = counters if counters is not None else OpCounters()
@@ -313,15 +319,17 @@ def counterexample(a: Sfa, b: Sfa, mode: str = "equal", counters: OpCounters | N
     its state.  A macro-state is read once per call, by _Side.det, as one
     deterministic state: a lone state whose edges are pairwise disjoint
     keeps them (one overlap test), and any other macro-state runs one
-    _minterms search over its members' moves; the residual (the letters it
-    has no edge for) counts as one more edge, into the empty macro-state.
+    _minterms search over its members' moves and joins the minterms of
+    each target, one disjunction per minterm joined; the residual (the
+    letters it has no edge for) counts as one more edge, into the empty
+    macro-state.
     The right side's reading splits the left edges against its own: for
     "equal" the left macro-state's reading, for "subset" the a-state's
     edges as they are, so each a-edge leads to its own pair.  For
     intervals that is a sweep: one bisection per left atom into the right
     side's atoms, sorted once per macro-state, and one step per piece; for
     truth tables one AND per pair of edges.  Each non-empty meet counts
-    one sat call and one conjunction built, and no join is made.  Every
+    one sat call and one conjunction built, and the split makes no join.  Every
     pair keeps only its first parent and the label that reached it, so
     the witnesses of the labels on the path to the first bad pair form a
     shortest word.

@@ -239,16 +239,21 @@ def _literals(k: int):
 
 def disjoint_monomials(mask: int, k: int) -> list:
     """Cover a truth table by pairwise disjoint basic predicates: the paths
-    of its reduced ordered decision tree (Bryant, IEEE TC 1986).
+    of an ordered decision tree that splits three ways.
 
     Variables go in index order.  At depth i the subtable has 2^(k-i) bits,
     its low half with variable i false; equal halves are walked once with
-    no literal for i, else the low (negated) half is split first.  A full
-    subtable emits its path as mk_and of its literal atoms builds it: TRUE,
-    one Atom or an And.  So the cover is exact and pairwise disjoint, no
-    member mentions a variable its subtable does not depend on, and it has
-    no more members than a split on every variable: expanded predicates
-    reintroduce no nondeterminism.  An explicit stack, not a self-calling
+    no literal for i.  Otherwise the letters both halves hold, both = low &
+    high, are walked once with no literal for i, so a union of parts that
+    do and do not depend on i is not cut at i again; then low ^ both under
+    the negated literal, then high ^ both under the plain one.  The pieces
+    come in that order, depth first.  A full subtable emits its path as
+    mk_and of its literal atoms builds it: TRUE, one Atom or an And.  So the
+    cover is exact and pairwise disjoint, no member mentions a variable the
+    table does not depend on, and no two members are equal but for the
+    sign of one literal.  It is a heuristic, not a minimum: on some tables
+    it has more members than a split on every variable (~p1 | p2 & p3 at
+    k = 3 gives 3 against 2).  An explicit stack, not a self-calling
     closure, keeps the output out of a reference cycle.
     """
     lits = _literals(k)
@@ -268,7 +273,9 @@ def disjoint_monomials(mask: int, k: int) -> list:
             stack.append((i + 1, path, low))
             continue
         negated, plain = lits[i]
-        # pushed second, so the negated (low) half is split first
-        stack.append((i + 1, path + (plain,), high))
-        stack.append((i + 1, path + (negated,), low))
+        both = low & high
+        # pushed in reverse, so both is split first and the plain half last
+        stack.append((i + 1, path + (plain,), high ^ both))
+        stack.append((i + 1, path + (negated,), low ^ both))
+        stack.append((i + 1, path, both))
     return out

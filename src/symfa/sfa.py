@@ -324,8 +324,10 @@ class _Side:
         """The splitter of a macro-state read as one deterministic state, its
         residual leading to (), whose lone edge loops.  A lone state is read
         by state, and when its edges overlap, like any other macro-state:
-        by one _minterms search over its members' moves, each minterm that
-        takes a move an edge to the sorted tuple of the states they reach."""
+        by one _minterms search over its members' moves.  Each minterm that
+        takes a move leads to the sorted tuple of the states they reach,
+        and each such target gets one edge, the join of its minterms, in
+        order of first minterm: one disjunction per minterm joined."""
         s = self._det.get(macro)
         if s is None:
             binding = self.binding
@@ -334,12 +336,15 @@ class _Side:
             if s is None:
                 moves = [move for q in macro for move in self.moves(q)]
                 takes = list(enumerate(reversed(moves)))  # bit j of a mask takes moves[-1 - j]
-                edges = [
-                    (tuple(sorted({m[0] for j, m in takes if mask >> j & 1})), x)
-                    for mask, x in _minterms(binding, moves, self.counters)
-                    if mask
-                ]
-                s = binding.splitter(edges, ())
+                by_target = {}
+                for mask, x in _minterms(binding, moves, self.counters):
+                    if mask:
+                        target = tuple(sorted({m[0] for j, m in takes if mask >> j & 1}))
+                        by_target.setdefault(target, []).append(x)
+                self.counters.disj_built += sum(len(xs) - 1 for xs in by_target.values())
+                # map, not a comprehension: a closure over binding costs every call a cell
+                joins = map(binding.join, by_target.values())
+                s = binding.splitter(list(zip(by_target, joins)), ())
             self._det[macro] = s
         return s
 

@@ -226,10 +226,10 @@ def rand_det_prop_sfa(rng: random.Random, k=3, n_max=4, complete=True) -> Sfa:
 def unreduced_monomials(mask: int, k: int):
     """Cover a truth table by pairwise disjoint monomials (LiteralAtom
     tuples), splitting on every variable in index order, low (negated)
-    half first, until a subtable is full.  Never fewer pieces than the
-    reduced cover of propositional.disjoint_monomials; kept here so the
-    seeded inputs of rand_det_prop_sfa, and the goldens built from them,
-    do not move when that cover does."""
+    half first, until a subtable is full.  Usually more pieces than the
+    cover of propositional.disjoint_monomials, on a few tables fewer; kept
+    here so the seeded inputs of rand_det_prop_sfa, and the goldens built
+    from them, do not move when that cover does."""
     out = []
     stack = [(0, (), mask)]
     while stack:

@@ -21,6 +21,9 @@ import pytest
 
 from symfa import (
     FALSE,
+    Atom,
+    IntervalAtom,
+    LiteralAtom,
     BindingMismatch,
     OpCounters,
     ProductMode,
@@ -204,6 +207,31 @@ def test_each_macro_state_is_searched_alone_and_once_per_call(monkeypatch):
                 targets = {m[0] for m in moves}
                 assert targets <= set(a.states) or targets <= set(b.states)
     assert total  # the inputs hold macro-states the splitter cannot read alone
+
+
+@pytest.mark.parametrize("algebra", ["interval", "propositional"])
+def test_joined_minterms_count_as_disjunctions(algebra):
+    """Each side's start state has two overlapping edges into one state:
+    its search finds three minterms to that one target, joined into one
+    edge at two disjunctions."""
+    if algebra == "interval":
+        binding = interval_binding()
+        spans = ((0, 10), (5, 15), (0, 8), (3, 15))
+        x1, x2, y1, y2 = (Atom(IntervalAtom(lo, hi)) for lo, hi in spans)
+    else:
+        binding = propositional_binding(["p1", "p2"])
+        x1, x2 = y2, y1 = [Atom(LiteralAtom(i, False)) for i in range(2)]
+    a = Sfa(binding, ("q", "r"), "q", {"r"}, (Transition("q", x1, "r"), Transition("q", x2, "r")))
+    b = Sfa(binding, ("p", "s"), "p", {"s"}, (Transition("p", y1, "s"), Transition("p", y2, "s")))
+    c = OpCounters()
+    assert counterexample(a, b, "equal", c) is None
+    # per side: a failed overlap test, 7 search nodes (6 conjunctions) and
+    # two joins; then 2 meets at the start pair and 1 at the accepting one
+    assert (c.sat_calls, c.conj_built, c.disj_built) == (2 * 8 + 3, 2 * 6 + 3, 2 * 2)
+    c = OpCounters()
+    assert counterexample(a, b, "subset", c) is None
+    # only b is read by _Side.det; each of a's two edges meets b's one edge
+    assert (c.sat_calls, c.conj_built, c.disj_built) == (8 + 2, 6 + 2, 2)
 
 
 def pair_bound(a, b, left_stuck):

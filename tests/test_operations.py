@@ -250,6 +250,57 @@ def test_lone_state_with_overlapping_edges_pays_a_failed_test_then_its_search():
 
 
 
+def test_determinize_joins_the_minterms_of_one_target():
+    a = Sfa(
+        interval_binding(),
+        ("q", "r"),
+        "q",
+        set(),
+        (Transition("q", ia(0, 10), "r"), Transition("q", ia(5, 15), "r")),
+    )
+    c = OpCounters()
+    d = determinize(a, c)
+    assert d.states == ("{q}", "{r}")
+    assert d.transitions == (Transition("{q}", ia(0, 15), "{r}"),)
+    # q: one failed overlap test and 7 search nodes; its three minterms all
+    # reach {r}, so two are joined into the first
+    assert (c.sat_calls, c.conj_built, c.disj_built) == (1 + 7, 6, 2)
+
+
+@pytest.mark.parametrize("algebra", ["interval", "propositional"])
+def test_det_gives_a_macro_state_one_edge_per_target(algebra):
+    """A non-lone macro-state's splitter has one edge per target
+    macro-state, each edge's letters reach exactly that target, and the
+    edges' union is the union of the members' edges."""
+    rng = random.Random(f"per-target/{algebra}")
+    if algebra == "interval":
+        binding = interval_binding()
+    else:
+        binding = propositional_binding(["p1", "p2", "p3"])
+    joined = 0
+    for _ in range(80):
+        a = rand_sfa(rng, binding, n_max=4, m_max=3)
+        side = _Side(a)
+        keys, _ = sfa._explore(
+            (a.initial,), lambda m: ((d, t) for t, d in side.det(m).edges if t and d)
+        )
+        for m in keys:
+            if len(m) < 2:
+                continue
+            edges = [(t, d) for t, d in side.det(m).edges if t]
+            targets = [t for t, _ in edges]
+            assert len(targets) == len(set(targets))
+            assert binding.join([d for _, d in edges]) == binding.join(
+                [d for q in m for _, d in side.edges(q)]
+            )
+            for t, d in edges:
+                w = binding.witness(d)
+                reached = {e.dst for q in m for e in side.out[q] if binding.evaluate(e.pred, w)}
+                assert t == tuple(sorted(reached))
+        joined += side.counters.disj_built
+    assert joined > 10
+
+
 def _reference_minterms(b, dens, counters):
     """Recursive include/exclude search, include first: the non-empty
     minterms as (mask, solved form), member 0 on the top bit of the mask,

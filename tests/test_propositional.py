@@ -213,3 +213,26 @@ def test_k16_witnesses_satisfy_and_contradictions_are_none():
             assert binding.evaluate(p, w)
         assert binding.sat(Not(Or((p, Not(p))))) is None
         assert binding.sat(And((p, Not(p)))) is None
+
+
+def _literal_signs(piece):
+    """A piece's literals as var -> negated."""
+    return {atom.var: atom.negated for atom in iter_atoms(piece)}
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_reduced_cover_has_no_two_pieces_equal_but_for_one_sign(k):
+    """Two pieces equal but for the sign of one literal would be one piece
+    without it: the split keeps the letters both halves share whole."""
+    for mask in _masks_on_some_variables(k):
+        signs = [_literal_signs(piece) for piece in disjoint_monomials(mask, k)]
+        for j, x in enumerate(signs):
+            for y in signs[j + 1 :]:
+                if x.keys() == y.keys():
+                    assert sum(x[v] != y[v] for v in x) != 1, (x, y)
+
+
+def test_reduced_cover_walks_the_shared_half_once():
+    # p2 | p1 & p3: both halves on p1 hold p2, so p2 is one piece, not two
+    mask = mask_of(mk_or([lit(1), mk_and([lit(0), lit(2)])]), K)
+    assert disjoint_monomials(mask, K) == [lit(1), mk_and([lit(0), lit(1, True), lit(2)])]
