@@ -1,12 +1,12 @@
 """Symbolic finite automata over effective Boolean algebras.
 
-Transitions carry predicates (half-open integer intervals, or monomials
-over k propositions) instead of concrete letters.  The package provides the
+Transitions carry predicates (Boolean combinations of half-open integer
+intervals, or of literals over k propositions) instead of concrete letters.  The package provides the
 structural forms (neat, normalized, feasible, deterministic, complete),
 the standard constructions (product, complement, determinize, minimize),
 decision procedures (membership, emptiness, inclusion, equivalence, and
 a shortest counterexample for the last two),
-canonical minimal forms over the interval algebra, a brute-force oracle for
+canonical minimal forms in both algebras, a brute-force oracle for
 testing, a JSON file format, DOT export, and a CLI ("symfa").
 """
 

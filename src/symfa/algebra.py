@@ -150,10 +150,10 @@ class IntervalBinding(AlgebraBinding):
     def _splitter(self, edges, rest):
         return intervals.Splitter.of(edges, rest)
 
-    def basic_preds(self, x) -> list:
+    def basic_preds(self, x):
         """One atom per interval of x, the maximal runs of its letters:
-        pairwise disjoint basic predicates."""
-        return [Atom(atom) for atom in x]
+        pairwise disjoint basic predicates, as an iterator."""
+        return map(Atom, x)
 
 
 class PropositionalBinding(AlgebraBinding):

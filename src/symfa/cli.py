@@ -132,9 +132,9 @@ COMMANDS = {
                         lambda a, c: operations.minimize(a, c)),
     "complement": Command("accept exactly the rejected words", ONE, OUT,
                           lambda a, c: operations.complement(a, c)),
-    "canon-neat": Command("canonical minimal neat form (interval algebra)", ONE, OUT,
+    "canon-neat": Command("canonical minimal neat form", ONE, OUT,
                           lambda a, c: transforms.canonical_minimal_neat(a, c)),
-    "canon-norm": Command("canonical minimal normalized form (interval algebra)", ONE, OUT,
+    "canon-norm": Command("canonical minimal normalized form", ONE, OUT,
                           lambda a, c: transforms.canonical_minimal_normalized(a, c)),
     "intersect": Command("product accepting the intersection", TWO, OUT,
                          lambda a, b, c: operations.product(a, b, ProductMode.INTERSECT, c)),

@@ -168,13 +168,16 @@ class Splitter:
     def pieces(self, blocks):
         """signature's map as (canonical list, block) pairs in letter order:
         one interval per run, a run of one tile being that tile's atom."""
-        runs = []
-        for a, j in zip(self.atoms, self.owners):
-            if runs and runs[-1][2] == blocks[j]:
-                runs[-1][1] = a
-            else:
-                runs.append([a, a, blocks[j]])
-        return [((x if x is y else IntervalAtom(x.lo, y.hi),), b) for x, y, b in runs]
+        atoms, out = self.atoms, []
+        first, b = 0, blocks[self.owners[0]]
+        for i, j in enumerate(self.owners):
+            if blocks[j] != b:
+                x, y = atoms[first], atoms[i - 1]
+                out.append(((x if x is y else IntervalAtom(x.lo, y.hi),), b))
+                first, b = i, blocks[j]
+        x, y = atoms[first], atoms[-1]
+        out.append(((x if x is y else IntervalAtom(x.lo, y.hi),), b))
+        return out
 
 
 def to_dnf(p: Predicate) -> IntervalDnf:

@@ -136,9 +136,6 @@ class LiteralAtom(_Value):
         _set(self, "var", var)
         _set(self, "negated", negated)
 
-    def sort_key(self):
-        return (self.var, self.negated)
-
 
 class Atom(_Value):
     """payload is an IntervalAtom or a LiteralAtom."""

@@ -4,16 +4,16 @@ Atoms are literals (a proposition or its negation), so basic predicates are
 monomials.  Every predicate, basic or not, is decided on its truth table: an
 int of 2^k bits whose bit i is the predicate's value on valuation i of
 all_valuations.  Building one costs O(l) big-int operations on 2^k bits for
-a predicate of size l, which is why k is capped.  There is no unique minimal
-monomial cover for a valuation set, so nothing here canonicalizes general
-propositional predicates.
+a predicate of size l, which is why k is capped.  Neat edges come from
+truth tables, never from distributing a predicate: disjoint_monomials covers
+each table one fixed way, so equal tables give equal monomials.  That cover
+is not a minimum; no unique minimal monomial cover exists.
 """
 
 import functools
 from itertools import product
 
 from .predicates import (
-    FALSE,
     And,
     Atom,
     LiteralAtom,
@@ -23,8 +23,6 @@ from .predicates import (
     TRUE,
     _FalsePred,
     _TruePred,
-    mk_and,
-    mk_or,
 )
 
 # Truth tables are 2^k bits; keep them desk-scale.
@@ -62,90 +60,6 @@ def _witness(mask: int, k: int) -> Valuation | None:
         return None
     i = (mask & -mask).bit_length() - 1
     return tuple((i >> (k - 1 - j)) & 1 for j in range(k))
-
-
-def prop_nnf(p: Predicate) -> Predicate:
-    """Fold negations into literal atoms; no Not nodes survive."""
-    return _nnf(p, False)
-
-
-def _nnf(p: Predicate, neg: bool) -> Predicate:
-    if isinstance(p, Not):
-        return _nnf(p.child, not neg)
-    if isinstance(p, _TruePred):
-        return FALSE if neg else TRUE
-    if isinstance(p, _FalsePred):
-        return TRUE if neg else FALSE
-    if isinstance(p, Atom):
-        lit = p.payload
-        return Atom(LiteralAtom(lit.var, not lit.negated)) if neg else p
-    if isinstance(p, And):
-        kids = [_nnf(c, neg) for c in p.children]
-        return mk_or(kids) if neg else mk_and(kids)
-    if isinstance(p, Or):
-        kids = [_nnf(c, neg) for c in p.children]
-        return mk_and(kids) if neg else mk_or(kids)
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _monomials(p: Predicate):
-    """Distribute an NNF predicate into monomials (sorted literal tuples).
-
-    A monomial is a sorted, deduplicated tuple of literals; contradictory
-    products are dropped as they appear.  Worst case exponential.
-    """
-    if isinstance(p, _TruePred):
-        return [()]
-    if isinstance(p, _FalsePred):
-        return []
-    if isinstance(p, Atom):
-        return [(p.payload,)]
-    if isinstance(p, Or):
-        out = []
-        for c in p.children:
-            out.extend(_monomials(c))
-        return out
-    if isinstance(p, And):
-        acc = [()]
-        for c in p.children:
-            nxt = []
-            for m in _monomials(c):
-                for a in acc:
-                    merged = _merge_monomial(a, m)
-                    if merged is not None:
-                        nxt.append(merged)
-            acc = nxt
-            if not acc:
-                return []
-        return acc
-    raise TypeError(f"unexpected node after NNF: {p!r}")
-
-
-def _merge_monomial(a, b):
-    pols = {}
-    for lit in a + b:
-        if pols.setdefault(lit.var, lit.negated) != lit.negated:
-            return None
-    return tuple(sorted(set(a + b), key=LiteralAtom.sort_key))
-
-
-def monomial_to_pred(m) -> Predicate:
-    return mk_and([Atom(lit) for lit in m])
-
-
-def monomials_of(p: Predicate):
-    """Satisfiable monomials whose union is equivalent to p.
-
-    Deduplicated and sorted by literal order; disjuncts may overlap.  The
-    empty monomial (p equivalent to true) collapses the list to [()].
-    """
-    mono = sorted(
-        set(_monomials(prop_nnf(p))),
-        key=lambda m: tuple(lit.sort_key() for lit in m),
-    )
-    if any(m == () for m in mono):
-        return [()]
-    return mono
 
 
 def mask_of(p: Predicate, k: int) -> int:

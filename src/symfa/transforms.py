@@ -1,21 +1,15 @@
 """Form transformations: neat, normalized, feasible, complete, canonical.
 
 Each transform preserves the language and the state set (completion may add
-one sink).  Canonical minimal forms exist only over the interval algebra,
-where every predicate has a unique canonical representation; they reduce any
+one sink).  A predicate becomes neat edges one way in both algebras: the
+binding's basic_preds of its denotation.  Canonical minimal forms reduce any
 automaton to the unique minimal-state deterministic complete neat (or
 normalized) form with fixed state names, so language equality becomes
 structural equality.
 """
 
 from .algebra import OpCounters
-from .errors import UnsupportedAlgebra
-from .predicates import (
-    Atom,
-    _is_basic,
-    mk_or,
-)
-from .propositional import monomial_to_pred, monomials_of
+from .predicates import _is_basic, mk_or
 from .sfa import (
     Sfa,
     Transition,
@@ -33,23 +27,23 @@ from .sfa import (
 def to_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     """Expand general predicates so every transition is basic.
 
-    Interval binding: canonical DNF, one transition per atom (atom count
-    linear in the predicate size).  Propositional: one transition per
-    satisfiable monomial (worst case exponential).  Unsatisfiable disjuncts
-    vanish along the way.
+    Basic edges stay as they are; a general one becomes one edge per member
+    of the binding's basic_preds of its denotation, pairwise disjoint basic
+    predicates, none for an unsatisfiable one.  Intervals give one atom per
+    interval of the canonical DNF (linear in the predicate size); truth
+    tables give their decision-tree cover (at most 2^k members however
+    large the predicate, since nothing is distributed).
     """
     if is_neat(a):
         return a
+    binding = a.binding
     edges = []
     for t in a.transitions:
         if _is_basic(t.pred):
             edges.append(t)
-        elif a.binding.is_monotonic:
-            for p in a.binding.basic_preds(a.binding.denote(t.pred)):
-                edges.append(Transition(t.src, p, t.dst))
         else:
-            for m in monomials_of(t.pred):
-                edges.append(Transition(t.src, monomial_to_pred(m), t.dst))
+            for p in binding.basic_preds(binding.denote(t.pred)):
+                edges.append(Transition(t.src, p, t.dst))
     return Sfa(a.binding, a.states, a.initial, a.accepting, dedupe_transitions(edges))
 
 
@@ -91,37 +85,32 @@ def canonical_minimal_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
 
     sfa._signature_blocks refines the macro-states the subset
     construction reaches, plus a sink; on deterministic input those are
-    a's reachable states.  Each piece of a block, a maximal run of letters
-    into one target block, becomes one transition; blocks are renamed q0,
-    q1, ... breadth-first from the initial state's block, pieces in letter
-    order.  No step sees state names, unreachable states or unsatisfiable
-    edges, so language-equal inputs yield structurally equal outputs.
-    Interval binding only: no unique minimal neat form exists for the
-    propositional algebra.
+    a's reachable states.  Each piece of a block, the letters it sends into
+    one target block (a maximal run of them for intervals), becomes the
+    transitions of the binding's basic_preds of it: one atom for intervals,
+    a truth table's decision-tree cover for valuations.  Blocks are renamed
+    q0, q1, ... breadth-first from the initial state's block, pieces in
+    letter order.  No step sees state names, unreachable states or
+    unsatisfiable edges, and each piece is a letter set the language fixes,
+    so language-equal inputs yield structurally equal outputs.
     """
-    if not a.binding.is_monotonic:
-        raise UnsupportedAlgebra("canonical minimal forms need the interval algebra")
     counters = counters if counters is not None else OpCounters()
     block, pieces = _signature_blocks(_Side(a, counters), (a.initial,), a.accepting)
     order, edges = _explore(block[(a.initial,)], pieces)
     names = [f"q{i}" for i in range(len(order))]
     final = {b for m, b in block.items() if not a.accepting.isdisjoint(m)}
     accepting = (nm for nm, b in zip(names, order) if b in final)
-    edges = (Transition(names[i], Atom(x), names[j]) for i, (x,), j in edges)
+    basic_preds = a.binding.basic_preds
+    edges = (Transition(names[i], p, names[j]) for i, x, j in edges for p in basic_preds(x))
     return Sfa(a.binding, names, "q0", accepting, edges)
 
 
 def canonical_minimal_normalized(a: Sfa, counters: OpCounters | None = None) -> Sfa:
-    """Canonical neat form with parallel edges merged.
+    """Canonical neat form with parallel edges merged by to_normalized.
 
-    One transition per state pair, its disjuncts ordered by interval start;
-    transitions ordered by source index, then by the start of their first
-    interval (distinct per source, since the neat form is deterministic).
-    An automaton already in this form comes back structurally unchanged.
+    One transition per state pair, its disjuncts in the neat form's order;
+    transitions ordered by source index, then by their first letter, as
+    the neat form's edges are.  An automaton already in this form comes
+    back structurally unchanged.
     """
-    neat = canonical_minimal_neat(a, counters)
-    idx = {q: i for i, q in enumerate(neat.states)}
-    groups = edges_by_pair(neat.transitions)
-    order = sorted(groups, key=lambda key: (idx[key[0]], groups[key][0].payload.lo))
-    edges = [Transition(src, mk_or(groups[(src, dst)]), dst) for src, dst in order]
-    return Sfa(neat.binding, neat.states, neat.initial, neat.accepting, edges)
+    return to_normalized(canonical_minimal_neat(a, counters), counters)

@@ -34,7 +34,7 @@ from symfa import (
     product,
     propositional_binding,
 )
-from symfa.propositional import all_valuations, monomial_to_pred
+from symfa.propositional import all_valuations
 from symfa.sfa import dedupe_transitions, rename_states
 from symfa.sfa import fresh_state_name
 
@@ -221,6 +221,11 @@ def rand_det_prop_sfa(rng: random.Random, k=3, n_max=4, complete=True) -> Sfa:
             for m in unreduced_monomials(mask, k):
                 edges.append(Transition(q, monomial_to_pred(m), dst))
     return Sfa(binding, states, states[0], _accepting(rng, states), tuple(edges))
+
+
+def monomial_to_pred(m):
+    """The basic predicate of a LiteralAtom tuple: mk_and of its atoms."""
+    return mk_and([Atom(lit) for lit in m])
 
 
 def unreduced_monomials(mask: int, k: int):

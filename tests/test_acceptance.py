@@ -182,6 +182,23 @@ def test_criterion_05_canonical_confluence(term):
     run_criterion(term, 5, "canonical forms confluent under rewrites", body, limit=60.0)
 
 
+def test_propositional_canonical_confluence():
+    """Criterion 05 over valuations: both forms are equal for an input and
+    its rewrites, are their own canonical forms, and keep the language."""
+    rng = random.Random(20240215)
+    changed = 0
+    for i in range(300):
+        a = rand_det_prop_sfa(rng, k=3 + i % 3, complete=rng.random() < 0.5)
+        b = rewrite(rng, a, rounds=rng.randint(2, 4))
+        changed += b != a
+        for form in (canonical_minimal_neat, canonical_minimal_normalized):
+            c = form(a)
+            assert form(b) == c
+            assert form(c) == c
+            assert oracle_equal(a, c)
+    assert changed > 250
+
+
 def test_criterion_06_neat_closure(term):
     def body():
         rng = random.Random(20240206)

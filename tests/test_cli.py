@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 from symfa import (
+    And,
     Atom,
     IntervalAtom,
+    LiteralAtom,
+    Or,
     ProductMode,
     Sfa,
     Transition,
@@ -111,6 +114,18 @@ def test_transform_writes_output_file(capsys, tmp_path, two_state):
     payload = json.loads(out)
     assert payload["result"] == str(out_path)
     assert payload["output"] == {"n": 2, "m": 2, "l": 1}
+
+
+def test_neat_of_a_conjunction_of_disjunctions_is_two_edges(capsys, tmp_path):
+    """40 copies of p1 | p2 distribute into 2^40 monomials; neat covers the
+    truth table instead and writes two edges."""
+    p1, p2 = Atom(LiteralAtom(0)), Atom(LiteralAtom(1))
+    wide = And((Or((p1, p2)),) * 40)
+    a = Sfa(propositional_binding(["p1", "p2"]), ("q",), "q", {"q"}, (Transition("q", wide, "q"),))
+    out_path = tmp_path / "neat.sfa"
+    code, _, _ = run(capsys, "neat", write(tmp_path, "wide.sfa", a), "--out", str(out_path))
+    assert code == 0
+    assert len(parse_sfa(out_path.read_text()).transitions) == 2
 
 
 def test_complement_round_trip_via_files(capsys, tmp_path, two_state):
@@ -370,8 +385,8 @@ def test_parser_surface_is_pinned():
         ("determinize", "subset construction with minterms", one(OUT_OPT)),
         ("minimize", "merge indistinguishable states", one(OUT_OPT)),
         ("complement", "accept exactly the rejected words", one(OUT_OPT)),
-        ("canon-neat", "canonical minimal neat form (interval algebra)", one(OUT_OPT)),
-        ("canon-norm", "canonical minimal normalized form (interval algebra)", one(OUT_OPT)),
+        ("canon-neat", "canonical minimal neat form", one(OUT_OPT)),
+        ("canon-norm", "canonical minimal normalized form", one(OUT_OPT)),
         ("intersect", "product accepting the intersection", two(OUT_OPT)),
         ("union", "product accepting the union", two(OUT_OPT)),
         ("member", "decide whether a word is accepted",

@@ -1,7 +1,7 @@
 """Golden outputs: constructions must reproduce recorded files byte for byte.
 
 Each case runs one construction (determinize, complete, minimize, a
-product, complement, or an interval canonical form) on a seeded genlib
+product, complement, or a canonical form) on a seeded genlib
 input in one algebra and compares the SHA-256 of emit_sfa's text with
 the digest in data/golden_emit.json.  The digests pin predicates, state
 names and transition order, so a change to how the algebra decides
@@ -87,10 +87,9 @@ def outputs():
                 "complement": complement(det),
                 "complement-determinized": complement(da),
             }
-            if algebra == "interval":
-                for name, x in (("a", a), ("b", b), ("det", det)):
-                    built[f"canonical-neat-{name}"] = canonical_minimal_neat(x)
-                    built[f"canonical-normalized-{name}"] = canonical_minimal_normalized(x)
+            for name, x in (("a", a), ("b", b), ("det", det)):
+                built[f"canonical-neat-{name}"] = canonical_minimal_neat(x)
+                built[f"canonical-normalized-{name}"] = canonical_minimal_normalized(x)
             for op, sfa in built.items():
                 out[f"{algebra}/{s}/{op}"] = emit_sfa(sfa)
     return out

@@ -624,7 +624,7 @@ def test_minimize_and_canonical_forms_denote_each_edge_at_most_once(monkeypatch)
             a = rand_det_prop_sfa(rng, k=3, complete=full)
             b = rand_det_prop_sfa(other, k=3, complete=other.random() < 0.5)
             nfa = None
-            runs = (minimize,)
+            runs = (minimize, canonical_minimal_neat, canonical_minimal_normalized)
         if rng.random() < 0.4:
             a = rewrite(rng, a, rounds=2)
         for run in runs + (determinize, complement):
@@ -698,17 +698,18 @@ def test_union_costs_its_overlap_tests_and_one_per_meet():
 
 def test_canonical_forms_of_an_nfa_cost_what_determinize_does():
     rng = random.Random(347)
-    nfas = 0
-    for _ in range(80):
-        a = rand_sfa(rng, interval_binding(), n_max=4, m_max=3)
-        nfas += not is_deterministic(a)
+    bindings = (interval_binding(), propositional_binding(["p1", "p2", "p3"]))
+    nfas = [0, 0]
+    for i in range(160):
+        a = rand_sfa(rng, bindings[i % 2], n_max=4, m_max=3)
+        nfas[i % 2] += not is_deterministic(a)
         want = OpCounters()
         determinize(a, want)
         for run in (canonical_minimal_neat, canonical_minimal_normalized):
             c = OpCounters()
             run(a, c)
             assert (c.sat_calls, c.conj_built) == (want.sat_calls, want.conj_built)
-    assert nfas > 40
+    assert min(nfas) > 40
 
 
 def test_minimize_requires_deterministic():

@@ -1,8 +1,6 @@
 import random
 from collections import Counter
 
-import pytest
-
 from symfa import (
     And,
     Atom,
@@ -17,7 +15,6 @@ from symfa import (
     Sfa,
     TRUE,
     Transition,
-    UnsupportedAlgebra,
     canonical_minimal_neat,
     canonical_minimal_normalized,
     complete,
@@ -84,11 +81,23 @@ def test_to_neat_propositional_monomials():
     binding = propositional_binding(["p1", "p2", "p3"])
     pred = And((lit(0), Or((lit(1, True), And((lit(1), lit(2)))))))
     n = to_neat(loop_sfa(binding, pred))
+    # the truth table's three-way cover: p1 & p3 holds on both sides of p2
     assert n.transitions == (
-        Transition("q0", And((lit(0), lit(1), lit(2))), "q0"),
-        Transition("q0", And((lit(0), lit(1, True))), "q0"),
+        Transition("q0", And((lit(0), lit(2))), "q0"),
+        Transition("q0", And((lit(0), lit(1, True), lit(2, True))), "q0"),
     )
     assert is_neat(n)
+
+
+def test_to_neat_does_not_distribute_a_conjunction_of_disjunctions():
+    """40 copies of p1 | p2 have 2^40 distributed monomials; the truth
+    table gives the two pieces of the cover at once."""
+    binding = propositional_binding(["p1", "p2"])
+    n = to_neat(loop_sfa(binding, And((Or((lit(0), lit(1))),) * 40)))
+    assert n.transitions == (
+        Transition("q0", lit(1), "q0"),
+        Transition("q0", And((lit(0), lit(1, True))), "q0"),
+    )
 
 
 def test_to_neat_preserves_language_and_interval_size_bound():
@@ -310,8 +319,9 @@ def test_canonical_neat_two_state_is_a_fixed_point(two_state):
 
 def test_canonical_neat_idempotent():
     rng = random.Random(53)
-    for _ in range(20):
-        a = rand_sfa(rng, interval_binding(), n_max=3, m_max=3, pred_size=3)
+    bindings = (interval_binding(), propositional_binding(["p1", "p2", "p3"]))
+    for i in range(40):
+        a = rand_sfa(rng, bindings[i % 2], n_max=3, m_max=3, pred_size=3)
         c = canonical_minimal_neat(a)
         assert canonical_minimal_neat(c) == c
         assert is_neat(c) and is_deterministic(c) and is_complete(c)
@@ -331,24 +341,32 @@ def test_canonical_normalized_shape(two_state):
     c = canonical_minimal_normalized(two_state)
     assert c == two_state
     rng = random.Random(61)
-    for _ in range(10):
-        a = rand_sfa(rng, interval_binding(), n_max=3, m_max=3, pred_size=3)
+    bindings = (interval_binding(), propositional_binding(["p1", "p2", "p3"]))
+    for i in range(20):
+        a = rand_sfa(rng, bindings[i % 2], n_max=3, m_max=3, pred_size=3)
         c = canonical_minimal_normalized(a)
         assert is_normalized(c) and is_deterministic(c) and is_complete(c)
         assert oracle_equal(a, c)
+        # a source's edges are disjoint, so each one's first letter is distinct
         idx = {q: i for i, q in enumerate(c.states)}
-        keys = [(idx[t.src], _first_lo(t.pred)) for t in c.transitions]
+        keys = [(idx[t.src], c.binding.sat(t.pred)) for t in c.transitions]
         assert keys == sorted(keys)
 
 
-def _first_lo(pred):
-    first = pred.children[0] if isinstance(pred, Or) else pred
-    return first.payload.lo
-
-
-def test_canonical_forms_reject_propositional():
+def test_canonical_forms_of_propositional_input():
     a = loop_sfa(propositional_binding(["p1"]), lit(0))
-    with pytest.raises(UnsupportedAlgebra):
-        canonical_minimal_neat(a)
-    with pytest.raises(UnsupportedAlgebra):
-        canonical_minimal_normalized(a)
+    assert canonical_minimal_neat(a).transitions == (
+        Transition("q0", lit(0, True), "q1"),
+        Transition("q0", lit(0), "q0"),
+        Transition("q1", TRUE, "q1"),
+    )
+    rng = random.Random(67)
+    for _ in range(20):
+        a = rand_sfa(rng, propositional_binding(["p1", "p2", "p3"]), n_max=3, m_max=3)
+        for form, shaped in (
+            (canonical_minimal_neat, is_neat),
+            (canonical_minimal_normalized, is_normalized),
+        ):
+            c = form(a)
+            assert shaped(c) and is_deterministic(c) and is_complete(c)
+            assert oracle_equal(a, c)
