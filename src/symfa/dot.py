@@ -3,8 +3,12 @@
 States appear in declaration order, edges sorted by endpoint order then
 label, so the same automaton always renders to the same bytes (golden-file
 friendly).  Accepting states are double circles; the initial state gets an
-arrow from an invisible point node.
+arrow from an invisible point node.  Each predicate object's label is
+written once per export, however many transitions share it (parse_sfa
+shares equal predicates of one file).
 """
+
+import functools
 
 from .algebra import AlgebraBinding
 from .predicates import (
@@ -61,6 +65,8 @@ def _quote(s: str) -> str:
 
 
 def export_dot(a: Sfa) -> str:
+    """a's DOT text; each predicate object, keyed by identity, is
+    pretty-printed once per call, and each distinct label quoted once."""
     index = {q: i for i, q in enumerate(a.states)}
     quoted = [_quote(q) for q in a.states]
     lines = ["digraph sfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
@@ -68,10 +74,16 @@ def export_dot(a: Sfa) -> str:
         shape = "doublecircle" if q in a.accepting else "circle"
         lines.append(f"  {name} [shape={shape}];")
     lines.append(f"  __start -> {_quote(a.initial)};")
-    labeled = [
-        (index[t.src], index[t.dst], pretty_pred(t.pred, a.binding)) for t in a.transitions
-    ]
-    for src, dst, label in sorted(labeled):
-        lines.append(f"  {quoted[src]} -> {quoted[dst]} [label={_quote(label)}];")
+    labels = {}
+    labeled = []
+    for t in a.transitions:
+        key = id(t.pred)
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = _pretty(t.pred, a.binding)
+        labeled.append((index[t.src], index[t.dst], label))
+    labeled.sort()
+    quote = functools.cache(_quote)
+    lines += [f"  {quoted[src]} -> {quoted[dst]} [label={quote(label)}];" for src, dst, label in labeled]
     lines.append("}")
     return "\n".join(lines) + "\n"

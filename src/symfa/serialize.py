@@ -7,10 +7,18 @@ Predicates: "true", "false", {"and": [...]}, {"or": [...]}, {"not": ...},
 {"atom": {"var": "<name>", "neg": bool}} for propositions.  Unknown fields
 are rejected; errors carry the JSON path (and line/column for syntax).
 
+parse_sfa reads json.loads' output in one walk.  It compares each object's
+keys with the set it allows in one step and builds no path on the way
+down: a malformed node raises, and each level the error passes on its way
+out adds its step, so the path is assembled only for the message.  Within
+one document each distinct atom is built once, keyed by its checked
+fields, and each distinct connective once, keyed by its kind and its
+children's identities, so equal predicates of one file are one object.
+
 emit_sfa writes exactly json.dumps(doc, indent=2, ensure_ascii=False) plus
 a newline, with keys in the order algebra, states, initial, accepting
 (sorted), transitions and, per transition, from, pred, to; it writes that
-text itself in one walk of each predicate.
+text itself, one walk per distinct predicate object.
 """
 
 import functools
@@ -31,11 +39,13 @@ from .predicates import (
     Predicate,
     TRUE,
 )
-from .sfa import Sfa, Transition
+from .sfa import MAX_PRED_DEPTH, Sfa, Transition
 
-# Levels a predicate may nest (a lone atom is one level).  Every predicate
-# walk recurses once per level, so deeper input is refused at the boundary.
-MAX_PRED_DEPTH = 200
+# The fields each object holds, in the order a missing one is reported.
+_TOP = dict.fromkeys(("algebra", "states", "initial", "accepting", "transitions")).keys()
+_EDGE = dict.fromkeys(("from", "pred", "to")).keys()
+_BOUNDS = dict.fromkeys(("lo", "hi")).keys()
+_LITERAL = dict.fromkeys(("var", "neg")).keys()  # "neg" may be left out
 
 
 def parse_sfa(text: str) -> Sfa:
@@ -54,7 +64,8 @@ def _parse_document(text: str) -> Sfa:
         raise FormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
-    _check_keys(doc, {"algebra", "states", "initial", "accepting", "transitions"}, "top level")
+    if doc.keys() != _TOP:
+        raise FormatError(f"top level: {_key_error(doc, _TOP)}")
     binding = _parse_algebra(doc["algebra"])
     states = _parse_strings(doc["states"], "states")
     initial = doc["initial"]
@@ -64,26 +75,31 @@ def _parse_document(text: str) -> Sfa:
     raw = doc["transitions"]
     if not isinstance(raw, list):
         raise FormatError("transitions: must be a list")
+    atom, nodes = _atom_reader(binding), {}
     transitions = []
-    for i, item in enumerate(raw):
-        path = f"transitions[{i}]"
-        if not isinstance(item, dict):
-            raise FormatError(f"{path}: must be an object")
-        _check_keys(item, {"from", "pred", "to"}, path)
-        src, dst = item["from"], item["to"]
-        if not isinstance(src, str) or not isinstance(dst, str):
-            raise FormatError(f"{path}: 'from' and 'to' must be strings")
-        transitions.append(Transition(src, parse_pred(item["pred"], binding, f"{path}.pred"), dst))
+    try:
+        for i, item in enumerate(raw):
+            if type(item) is not dict:
+                raise FormatError(f"transitions[{i}]: must be an object")
+            if item.keys() != _EDGE:
+                raise FormatError(f"transitions[{i}]: {_key_error(item, _EDGE)}")
+            src, dst = item["from"], item["to"]
+            if type(src) is not str or type(dst) is not str:
+                raise FormatError(f"transitions[{i}]: 'from' and 'to' must be strings")
+            transitions.append(Transition(src, _parse_pred(item["pred"], 1, atom, nodes), dst))
+    except _Bad as e:
+        path = f"transitions[{i}].pred" + "".join(reversed(e.steps))
+        raise FormatError(f"{_short_path(path) if e.short else path}: {e.msg}") from None
     return Sfa(binding, tuple(states), initial, frozenset(accepting), tuple(transitions))
 
 
-def _check_keys(obj, allowed, path):
+def _key_error(obj, allowed) -> str:
+    """Why obj's keys are not allowed: its first unknown field, else the
+    first missing one."""
     for key in obj:
         if key not in allowed:
-            raise FormatError(f"{path}: unknown field {key!r}")
-    for key in allowed:
-        if key not in obj:
-            raise FormatError(f"{path}: missing field {key!r}")
+            return f"unknown field {key!r}"
+    return f"missing field {next(key for key in allowed if key not in obj)!r}"
 
 
 def _parse_strings(obj, path):
@@ -96,7 +112,9 @@ def _parse_algebra(obj) -> AlgebraBinding:
     if obj == "interval":
         return interval_binding()
     if isinstance(obj, dict):
-        _check_keys(obj, {"kind", "props"} if obj.get("kind") == "propositional" else {"kind"}, "algebra")
+        fields = ("kind", "props") if obj.get("kind") == "propositional" else ("kind",)
+        if obj.keys() != set(fields):
+            raise FormatError(f"algebra: {_key_error(obj, fields)}")
         if obj.get("kind") == "interval":
             return interval_binding()
         if obj.get("kind") == "propositional":
@@ -110,28 +128,111 @@ def _parse_algebra(obj) -> AlgebraBinding:
     raise FormatError(f"algebra: expected \"interval\" or a propositional object, got {obj!r}")
 
 
-def parse_pred(obj, binding: AlgebraBinding, path: str, depth: int = 1) -> Predicate:
+class _Bad(Exception):
+    """A malformed predicate node: the message, and the path steps from the
+    node that raised out to the last level it passed, innermost first.  The
+    depth cap's path is shortened (short)."""
+
+    def __init__(self, msg, step=None, short=False):
+        self.msg, self.steps, self.short = msg, [] if step is None else [step], short
+
+
+def _atom_reader(binding: AlgebraBinding):
+    """The atom parser of one document: the Atom of an "atom" field's body,
+    each distinct one built once, keyed by its checked fields."""
+    atoms = {}
+
+    def interval(body):
+        if type(body) is not dict:
+            raise _Bad("must be an object", ".atom")
+        if body.keys() != _BOUNDS:
+            raise _Bad(_key_error(body, _BOUNDS), ".atom")
+        lo, hi = body["lo"], body["hi"]
+        if type(lo) is not int:
+            lo = NEG_INF if lo == "-inf" else _bad_bound(lo, "-inf")
+        if type(hi) is not int:
+            hi = POS_INF if hi == "inf" else _bad_bound(hi, "inf")
+        found = atoms.get((lo, hi))
+        if found is None:
+            try:
+                found = atoms[lo, hi] = Atom(IntervalAtom(lo, hi))
+            except ValueError as e:
+                raise _Bad(str(e), ".atom") from None
+        return found
+
+    def literal(body):
+        if type(body) is not dict:
+            raise _Bad("must be an object", ".atom")
+        if not body.keys() <= _LITERAL:
+            for key in body:
+                if key not in _LITERAL:
+                    raise _Bad(f"unknown field {key!r}", ".atom")
+        var, neg = body.get("var"), body.get("neg", False)
+        if type(var) is not str:
+            raise _Bad("missing or non-string 'var'", ".atom")
+        if type(neg) is not bool:
+            raise _Bad("'neg' must be a boolean", ".atom")
+        found = atoms.get((var, neg))
+        if found is None:
+            try:
+                found = atoms[var, neg] = Atom(LiteralAtom(binding.var_index(var), neg))
+            except Exception as e:
+                raise _Bad(str(e), ".atom") from None
+        return found
+
+    return interval if binding.is_monotonic else literal
+
+
+def _parse_pred(obj, depth, atom, nodes) -> Predicate:
+    """obj's predicate, obj being depth levels down (a transition's pred is
+    level 1); atom is the document's atom reader, and nodes its table of
+    connectives, keyed by kind and children's ids.  The table holds every
+    connective built, and with it the children whose ids key it, so those
+    ids stay valid.  A module function, not a closure: a closure that calls
+    itself is a reference cycle, left for the collector after each parse."""
     if depth > MAX_PRED_DEPTH:
-        where = _short_path(path)
-        raise FormatError(f"{where}: predicate nested too deeply (at most {MAX_PRED_DEPTH} levels)")
-    if obj == "true":
-        return TRUE
-    if obj == "false":
-        return FALSE
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise FormatError(f"{path}: expected a single-key predicate object, got {obj!r}")
-    key, body = next(iter(obj.items()))
-    if key in ("and", "or"):
-        if not isinstance(body, list) or len(body) < 2:
-            raise FormatError(f"{path}.{key}: needs a list of at least 2 children")
-        kids = [parse_pred(c, binding, f"{path}.{key}[{i}]", depth + 1) for i, c in enumerate(body)]
-        # rebuild through the plain node so the shape on disk is preserved
-        return And(tuple(kids)) if key == "and" else Or(tuple(kids))
-    if key == "not":
-        return Not(parse_pred(body, binding, f"{path}.not", depth + 1))
+        raise _Bad(f"predicate nested too deeply (at most {MAX_PRED_DEPTH} levels)", short=True)
+    if type(obj) is not dict or len(obj) != 1:
+        if obj == "true":
+            return TRUE
+        if obj == "false":
+            return FALSE
+        raise _Bad(f"expected a single-key predicate object, got {obj!r}")
+    ((key, body),) = obj.items()
     if key == "atom":
-        return Atom(_parse_atom(body, binding, f"{path}.atom"))
-    raise FormatError(f"{path}: unknown predicate key {key!r}")
+        return atom(body)
+    if key == "not":
+        try:
+            child = _parse_pred(body, depth + 1, atom, nodes)
+        except _Bad as e:
+            e.steps.append(".not")
+            raise
+        ids = (Not, id(child))
+        found = nodes.get(ids)
+        if found is None:
+            found = nodes[ids] = Not(child)
+        return found
+    if key == "and" or key == "or":
+        if type(body) is not list or len(body) < 2:
+            raise _Bad("needs a list of at least 2 children", f".{key}")
+        kids = []
+        try:
+            for c in body:
+                kids.append(_parse_pred(c, depth + 1, atom, nodes))
+        except _Bad as e:
+            e.steps.append(f".{key}[{len(kids)}]")
+            raise
+        kind = And if key == "and" else Or
+        ids = (kind, *map(id, kids))
+        found = nodes.get(ids)
+        if found is None:
+            found = nodes[ids] = kind(tuple(kids))
+        return found
+    raise _Bad(f"unknown predicate key {key!r}")
+
+
+def _bad_bound(v, word):
+    raise _Bad(f"bound must be an integer or \"{word}\", got {v!r}", ".atom")
 
 
 def _short_path(path: str) -> str:
@@ -142,41 +243,11 @@ def _short_path(path: str) -> str:
     return f"{'.'.join(steps[:3])} ... ({len(steps) - 6} more) ... .{'.'.join(steps[-3:])}"
 
 
-def _parse_atom(body, binding: AlgebraBinding, path: str):
-    if not isinstance(body, dict):
-        raise FormatError(f"{path}: must be an object")
-    if binding.is_monotonic:
-        _check_keys(body, {"lo", "hi"}, path)
-        lo = _parse_bound(body["lo"], "-inf", NEG_INF, path)
-        hi = _parse_bound(body["hi"], "inf", POS_INF, path)
-        try:
-            return IntervalAtom(lo, hi)
-        except ValueError as e:
-            raise FormatError(f"{path}: {e}") from None
-    for key in body:
-        if key not in ("var", "neg"):
-            raise FormatError(f"{path}: unknown field {key!r}")
-    if "var" not in body or not isinstance(body["var"], str):
-        raise FormatError(f"{path}: missing or non-string 'var'")
-    neg = body.get("neg", False)
-    if not isinstance(neg, bool):
-        raise FormatError(f"{path}: 'neg' must be a boolean")
-    try:
-        return LiteralAtom(binding.var_index(body["var"]), neg)
-    except Exception as e:
-        raise FormatError(f"{path}: {e}") from None
-
-
-def _parse_bound(v, word, sentinel, path):
-    if v == word:
-        return sentinel
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise FormatError(f"{path}: bound must be an integer or \"{word}\", got {v!r}")
-
-
 def emit_sfa(a: Sfa) -> str:
-    """The file's text in the layout above; each name is quoted once per call."""
+    """The file's text in the layout above; each name is quoted once per
+    call, and each predicate object, keyed by identity, walked once: the
+    pieces its first walk wrote are reused for every later transition it
+    labels."""
     quote = functools.cache(functools.partial(json.dumps, ensure_ascii=False))
     if a.binding.is_monotonic:
         props, algebra = [], '"interval"'
@@ -188,9 +259,16 @@ def emit_sfa(a: Sfa) -> str:
         f'\n  "initial": {quote(a.initial)},'
         f'\n  "accepting": {_list([quote(q) for q in sorted(a.accepting)], 2)},\n  "transitions": ['
     ]
+    pieces = {}
     for i, t in enumerate(a.transitions):
         out.append(f'{"," if i else ""}\n    {{\n      "from": {quote(t.src)},\n      "pred": ')
-        _emit_pred(t.pred, props, out, "\n      ")
+        written = pieces.get(id(t.pred))
+        if written is None:
+            start = len(out)
+            _emit_pred(t.pred, props, out, "\n      ")
+            pieces[id(t.pred)] = out[start:]
+        else:
+            out += written
         out.append(f',\n      "to": {quote(t.dst)}\n    }}')
     out.append("\n  ]\n}\n" if a.transitions else "]\n}\n")
     return "".join(out)

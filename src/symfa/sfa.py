@@ -19,15 +19,25 @@ from collections import Counter
 from .algebra import AlgebraBinding, OpCounters
 from .predicates import (
     TRUE,
+    And,
+    Atom,
+    Not,
+    Or,
     Predicate,
+    _FalsePred,
+    _TruePred,
     _Value,
     _is_basic,
-    iter_atoms,
     mk_not,
     mk_or,
     predicate_size,
     _set,
 )
+
+# Levels a predicate may nest (a lone atom is one level).  Every predicate
+# walk but validate's recurses once per level, so parse_sfa refuses deeper
+# input and validate reports it.
+MAX_PRED_DEPTH = 200
 
 
 class Transition(_Value):
@@ -68,7 +78,10 @@ class SizeTriple(_Value):
 
 
 def validate(a: Sfa) -> list:
-    """All invariant violations, empty when the automaton is well-formed."""
+    """All invariant violations, empty when the automaton is well-formed.
+    A predicate nested past MAX_PRED_DEPTH, or holding a node that is not a
+    predicate, is a violation and is not compared for duplicates: hashing
+    it recurses once per level, or may fail."""
     errs = []
     known = set(a.states)
     if len(known) != len(a.states):
@@ -84,26 +97,42 @@ def validate(a: Sfa) -> list:
             errs.append(f"unknown state {t.src!r} as transition source")
         if t.dst not in known:
             errs.append(f"unknown state {t.dst!r} as transition target")
-        key = (t.src, t.pred, t.dst)
-        if key in seen:
-            errs.append(f"duplicate transition {t.src!r} -> {t.dst!r}")
-        seen.add(key)
-        errs.extend(_check_pred(a.binding, t.pred))
+        pred_errs, well_formed = _check_pred(a.binding, t.pred)
+        if well_formed:
+            size = len(seen)
+            seen.add((t.src, t.pred, t.dst))  # one hash: the set did not grow on a duplicate
+            if len(seen) == size:
+                errs.append(f"duplicate transition {t.src!r} -> {t.dst!r}")
+        errs.extend(pred_errs)
     return errs
 
 
-def _check_pred(binding: AlgebraBinding, p: Predicate) -> list:
-    try:
-        predicate_size(p)  # raises on any node, root or below, that is not a predicate
-    except TypeError as e:
-        return [str(e)]
+def _check_pred(binding: AlgebraBinding, p: Predicate):
+    """p's violations, and whether every node is a predicate node within
+    MAX_PRED_DEPTH levels, from one walk with an explicit stack, so no depth
+    recurses: the first node that is not a predicate alone, else the depth
+    and each atom outside the binding's algebra, in tree order."""
     errs = []
-    for payload in iter_atoms(p):
-        try:
-            binding.check_atom(payload)
-        except Exception as e:
-            errs.append(str(e))
-    return errs
+    deepest = 0
+    stack = [(p, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
+        if isinstance(node, Atom):
+            try:
+                binding.check_atom(node.payload)
+            except Exception as e:
+                errs.append(str(e))
+        elif isinstance(node, (And, Or)):
+            stack += [(c, depth + 1) for c in reversed(node.children)]
+        elif isinstance(node, Not):
+            stack.append((node.child, depth + 1))
+        elif not isinstance(node, (_TruePred, _FalsePred)):
+            return [f"not a predicate: {node!r}"], False
+    if deepest > MAX_PRED_DEPTH:
+        errs.insert(0, f"predicate nested {deepest} levels deep (at most {MAX_PRED_DEPTH} levels)")
+    return errs, deepest <= MAX_PRED_DEPTH
 
 
 def is_deterministic(a: Sfa, counters: OpCounters | None = None) -> bool:

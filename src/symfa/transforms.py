@@ -32,16 +32,20 @@ def to_neat(a: Sfa, counters: OpCounters | None = None) -> Sfa:
     predicates, none for an unsatisfiable one.  Intervals give one atom per
     interval of the canonical DNF (linear in the predicate size); truth
     tables give their decision-tree cover (at most 2^k members however
-    large the predicate, since nothing is distributed).
+    large the predicate, since nothing is distributed).  Counts one sat
+    call per general edge: its denotation's emptiness decides whether any
+    edge is written.
     """
     if is_neat(a):
         return a
+    counters = counters if counters is not None else OpCounters()
     binding = a.binding
     edges = []
     for t in a.transitions:
         if _is_basic(t.pred):
             edges.append(t)
         else:
+            counters.sat_calls += 1
             for p in binding.basic_preds(binding.denote(t.pred)):
                 edges.append(Transition(t.src, p, t.dst))
     return Sfa(a.binding, a.states, a.initial, a.accepting, dedupe_transitions(edges))

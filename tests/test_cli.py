@@ -11,6 +11,7 @@ from symfa import (
     Atom,
     IntervalAtom,
     LiteralAtom,
+    Not,
     Or,
     ProductMode,
     Sfa,
@@ -22,6 +23,7 @@ from symfa import (
     mk_and,
     parse_sfa,
     product,
+    to_neat,
 )
 import symfa
 from symfa import operations, propositional_binding
@@ -126,6 +128,25 @@ def test_neat_of_a_conjunction_of_disjunctions_is_two_edges(capsys, tmp_path):
     code, _, _ = run(capsys, "neat", write(tmp_path, "wide.sfa", a), "--out", str(out_path))
     assert code == 0
     assert len(parse_sfa(out_path.read_text()).transitions) == 2
+
+
+def test_neat_counts_one_sat_call_per_general_edge(capsys, tmp_path):
+    """A general edge is denoted once, and that denotation's emptiness
+    decides whether it gives any edge: one sat call each.  A basic edge is
+    kept as it is and costs nothing; nothing is conjoined or joined."""
+    p1, not_p1, p2, not_p2 = (Atom(LiteralAtom(v, neg)) for v in (0, 1) for neg in (False, True))
+    edges = (
+        Transition("q", Or((p1, not_p2)), "q"),
+        Transition("q", And((p1, Not(p1))), "q"),
+        Transition("q", And((not_p1, p2)), "q"),
+    )
+    a = Sfa(propositional_binding(["p1", "p2"]), ("q",), "q", {"q"}, edges)
+    out_path = tmp_path / "neat.sfa"
+    code, out, _ = run(capsys, "neat", write(tmp_path, "mixed.sfa", a), "--out", str(out_path), "--json")
+    assert code == 0
+    assert json.loads(out)["counters"] == {"sat_calls": 2, "conj_built": 0, "disj_built": 0}
+    assert parse_sfa(out_path.read_text()) == to_neat(a)
+    assert [t.pred for t in to_neat(a).transitions] == [not_p2, And((p1, p2)), And((not_p1, p2))]
 
 
 def test_complement_round_trip_via_files(capsys, tmp_path, two_state):

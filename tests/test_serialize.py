@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -19,6 +20,7 @@ from symfa import (
     TRUE,
     Transition,
     emit_sfa,
+    export_dot,
     interval_binding,
     parse_sfa,
     propositional_binding,
@@ -37,6 +39,195 @@ from conftest import DATA
 
 def ia(lo, hi):
     return Atom(IntervalAtom(lo, hi))
+
+
+PROP = {"kind": "propositional", "props": ["p1", "p2"]}
+DROP = object()
+
+
+def doc(pred="true", **fields):
+    """A one-state document with one transition labelled pred; a field given
+    as DROP is left out, any other given field replaces the default."""
+    d = {"algebra": "interval", "states": ["q"], "initial": "q", "accepting": [],
+         "transitions": [{"from": "q", "pred": pred, "to": "q"}]}
+    d.update(fields)
+    return json.dumps({k: v for k, v in d.items() if v is not DROP})
+
+
+def edge(**fields):
+    e = {"from": "q", "pred": "true", "to": "q"}
+    e.update(fields)
+    return {k: v for k, v in e.items() if v is not DROP}
+
+
+def nots(depth):
+    pred = {"atom": {"lo": 0, "hi": 1}}
+    for _ in range(depth - 1):
+        pred = {"not": pred}
+    return pred
+
+
+# Every parse error, one malformed document each, with the message pinned
+# whole: the path, and line/column for syntax errors, are part of the contract.
+IV = {"atom": {"lo": 0, "hi": 5}}
+PARSE_ERRORS = [
+    ("top level not an object", "[]",
+     'top level must be an object'),
+    ("top level unknown field", doc(color="red"),
+     "top level: unknown field 'color'"),
+    ("top level missing field", doc(transitions=DROP),
+     "top level: missing field 'transitions'"),
+    ("algebra unknown name", doc(algebra="regex"),
+     'algebra: expected "interval" or a propositional object, got \'regex\''),
+    ("algebra unknown kind", doc(algebra={"kind": "bool"}),
+     'algebra: expected "interval" or a propositional object, got {\'kind\': \'bool\'}'),
+    ("algebra list", doc(algebra=["interval"]),
+     'algebra: expected "interval" or a propositional object, got [\'interval\']'),
+    ("algebra interval with props", doc(algebra={"kind": "interval", "props": ["p1"]}),
+     "algebra: unknown field 'props'"),
+    ("algebra missing props", doc(algebra={"kind": "propositional"}),
+     "algebra: missing field 'props'"),
+    ("algebra unknown field", doc(algebra={"kind": "propositional", "props": ["p1"], "k": 1}),
+     "algebra: unknown field 'k'"),
+    ("algebra props not a list", doc(algebra={"kind": "propositional", "props": "p1"}),
+     'algebra.props: must be a list of nonempty strings'),
+    ("algebra no props", doc(algebra={"kind": "propositional", "props": []}),
+     'algebra: propositional algebra needs at least one proposition'),
+    ("algebra duplicate props", doc(algebra={"kind": "propositional", "props": ["p1", "p1"]}),
+     'algebra: duplicate proposition names'),
+    ("algebra empty prop name", doc(algebra={"kind": "propositional", "props": [""]}),
+     "algebra: proposition names are nonempty strings, got ''"),
+    ("states not a list", doc(states="q"),
+     'states: must be a list of strings'),
+    ("states not strings", doc(states=["q", 1]),
+     'states: must be a list of strings'),
+    ("initial not a string", doc(initial=0),
+     'initial: must be a string'),
+    ("accepting not strings", doc(accepting=[None]),
+     'accepting: must be a list of strings'),
+    ("transitions not a list", doc(transitions={"from": "q"}),
+     'transitions: must be a list'),
+    ("transition not an object", doc(transitions=[edge(), "q->q"]),
+     'transitions[1]: must be an object'),
+    ("transition unknown field", doc(transitions=[edge(weight=3)]),
+     "transitions[0]: unknown field 'weight'"),
+    ("transition missing field", doc(transitions=[edge(), edge(to=DROP)]),
+     "transitions[1]: missing field 'to'"),
+    ("from not a string", doc(transitions=[edge(**{"from": 0})]),
+     "transitions[0]: 'from' and 'to' must be strings"),
+    ("to not a string", doc(transitions=[edge(), edge(to=["q"])]),
+     "transitions[1]: 'from' and 'to' must be strings"),
+    ("pred a number", doc(3),
+     'transitions[0].pred: expected a single-key predicate object, got 3'),
+    ("pred an unknown word", doc("maybe"),
+     "transitions[0].pred: expected a single-key predicate object, got 'maybe'"),
+    ("pred null", doc(None),
+     'transitions[0].pred: expected a single-key predicate object, got None'),
+    ("pred empty object", doc({}),
+     'transitions[0].pred: expected a single-key predicate object, got {}'),
+    ("pred two keys", doc({"not": "true", "atom": {"lo": 0, "hi": 1}}),
+     "transitions[0].pred: expected a single-key predicate object, got {'not': 'true', 'atom': {'lo': 0, 'hi': 1}}"),
+    ("and with one child", doc({"and": ["true"]}),
+     'transitions[0].pred.and: needs a list of at least 2 children'),
+    ("or with no list", doc({"or": "true"}),
+     'transitions[0].pred.or: needs a list of at least 2 children'),
+    ("or with no children", doc({"or": []}),
+     'transitions[0].pred.or: needs a list of at least 2 children'),
+    ("unknown predicate key", doc({"xor": ["true", "false"]}),
+     "transitions[0].pred: unknown predicate key 'xor'"),
+    ("nested unknown key", doc({"or": ["true", {"not": {"and": [IV, {"nand": 1}]}}]}),
+     "transitions[0].pred.or[1].not.and[1]: unknown predicate key 'nand'"),
+    ("atom not an object", doc({"or": ["true", {"not": {"and": [IV, {"atom": 5}]}}]}),
+     'transitions[0].pred.or[1].not.and[1].atom: must be an object'),
+    ("interval atom unknown field", doc({"atom": {"lo": 0, "hi": 5, "mid": 2}}),
+     "transitions[0].pred.atom: unknown field 'mid'"),
+    ("interval atom missing field", doc({"atom": {"lo": 0}}),
+     "transitions[0].pred.atom: missing field 'hi'"),
+    ("bool lo", doc({"atom": {"lo": True, "hi": 5}}),
+     'transitions[0].pred.atom: bound must be an integer or "-inf", got True'),
+    ("bool hi", doc({"atom": {"lo": 0, "hi": False}}),
+     'transitions[0].pred.atom: bound must be an integer or "inf", got False'),
+    ("float lo", doc({"atom": {"lo": 1.0, "hi": 5}}),
+     'transitions[0].pred.atom: bound must be an integer or "-inf", got 1.0'),
+    ("float hi", doc({"and": [IV, {"atom": {"lo": 0, "hi": 5.5}}]}),
+     'transitions[0].pred.and[1].atom: bound must be an integer or "inf", got 5.5'),
+    ("inf as lo", doc({"atom": {"lo": "inf", "hi": 5}}),
+     'transitions[0].pred.atom: bound must be an integer or "-inf", got \'inf\''),
+    ("-inf as hi", doc({"atom": {"lo": 0, "hi": "-inf"}}),
+     'transitions[0].pred.atom: bound must be an integer or "inf", got \'-inf\''),
+    ("null bound", doc({"atom": {"lo": None, "hi": 5}}),
+     'transitions[0].pred.atom: bound must be an integer or "-inf", got None'),
+    ("empty interval", doc({"atom": {"lo": 5, "hi": 5}}),
+     'transitions[0].pred.atom: empty interval [5,5): need lo < hi'),
+    ("reversed interval", doc({"not": {"atom": {"lo": 7, "hi": "-inf"}}}),
+     'transitions[0].pred.not.atom: bound must be an integer or "inf", got \'-inf\''),
+    ("full line reversed", doc({"atom": {"lo": "inf", "hi": "-inf"}}),
+     'transitions[0].pred.atom: bound must be an integer or "-inf", got \'inf\''),
+    ("literal in interval file", doc({"atom": {"var": "p1"}}),
+     "transitions[0].pred.atom: unknown field 'var'"),
+    ("interval atom in propositional file", doc({"atom": {"lo": 0, "hi": 5}}, algebra=PROP),
+     "transitions[0].pred.atom: unknown field 'lo'"),
+    ("literal extra field", doc({"atom": {"var": "p1", "neg": True, "sign": "-"}}, algebra=PROP),
+     "transitions[0].pred.atom: unknown field 'sign'"),
+    ("literal missing var", doc({"atom": {"neg": True}}, algebra=PROP),
+     "transitions[0].pred.atom: missing or non-string 'var'"),
+    ("literal non-string var", doc({"atom": {"var": 1}}, algebra=PROP),
+     "transitions[0].pred.atom: missing or non-string 'var'"),
+    ("literal non-bool neg", doc({"atom": {"var": "p1", "neg": 1}}, algebra=PROP),
+     "transitions[0].pred.atom: 'neg' must be a boolean"),
+    ("literal null neg", doc({"not": {"atom": {"var": "p2", "neg": None}}}, algebra=PROP),
+     "transitions[0].pred.not.atom: 'neg' must be a boolean"),
+    ("unknown proposition", doc({"and": [{"atom": {"var": "p1"}}, {"atom": {"var": "p9"}}]}, algebra=PROP),
+     "transitions[0].pred.and[1].atom: unknown proposition 'p9'"),
+    ("literal not an object", doc({"atom": "p1"}, algebra=PROP),
+     'transitions[0].pred.atom: must be an object'),
+    ("depth cap", doc(nots(201)),
+     'transitions[0].pred.not ... (196 more) ... .not.not.not: predicate nested too deeply (at most 200 levels)'),
+    ("depth cap under a connective", doc({"and": [IV, nots(200)]}),
+     'transitions[0].pred.and[1] ... (196 more) ... .not.not.not: predicate nested too deeply (at most 200 levels)'),
+    ("depth cap in a short path", doc({"or": [IV, {"and": [IV, "true"]}]}).replace('"true"', json.dumps(nots(199))),
+     'transitions[0].pred.or[1] ... (196 more) ... .not.not.not: predicate nested too deeply (at most 200 levels)'),
+    ("top level unknown and missing fields", doc(color="red", initial=DROP),
+     "top level: unknown field 'color'"),
+    ("interval atom unknown and missing fields", doc({"atom": {"mid": 2, "lo": 0}}),
+     "transitions[0].pred.atom: unknown field 'mid'"),
+    ("algebra too many props", doc(algebra={"kind": "propositional", "props": [f"p{i}" for i in range(17)]}),
+     'algebra: at most 16 propositions, got 17'),
+    ("bool lo after the equal int", doc(transitions=[edge(pred={"atom": {"lo": 1, "hi": 5}}), edge(pred={"atom": {"lo": True, "hi": 5}})]),
+     'transitions[1].pred.atom: bound must be an integer or "-inf", got True'),
+    ("float lo after the equal int", doc(transitions=[edge(pred={"atom": {"lo": 1, "hi": 5}}), edge(pred={"not": {"atom": {"lo": 1.0, "hi": 5}}})]),
+     'transitions[1].pred.not.atom: bound must be an integer or "-inf", got 1.0'),
+    ("int neg after the equal bool", doc(transitions=[edge(pred={"atom": {"var": "p1", "neg": False}}), edge(pred={"atom": {"var": "p1", "neg": 0}})], algebra=PROP),
+     "transitions[1].pred.atom: 'neg' must be a boolean"),
+    ("syntax error", '{"algebra": "interval",\n  "states": [,]}',
+     'line 2 column 14: Expecting value'),
+    ("syntax error at end", '{"algebra": "interval"',
+     "line 1 column 23: Expecting ',' delimiter"),
+    ("empty text", "",
+     'line 1 column 1: Expecting value'),
+    ("nested past the recursion limit", "[" * 100000 + "]" * 100000,
+     'predicate nested too deeply'),
+]
+
+
+@pytest.mark.parametrize("text, message", [c[1:] for c in PARSE_ERRORS], ids=[c[0] for c in PARSE_ERRORS])
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(FormatError) as e:
+        parse_sfa(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "top level: missing field 'algebra'"),
+    (doc(transitions=[{"pred": "true"}]), "transitions[0]: missing field 'from'"),
+    (doc({"atom": {}}), "transitions[0].pred.atom: missing field 'lo'"),
+])
+def test_first_missing_field_is_named_in_the_documented_order(text, message):
+    """With several fields missing, the message names the first in the
+    order the format lists them, whatever the hash seed."""
+    with pytest.raises(FormatError) as e:
+        parse_sfa(text)
+    assert str(e.value) == message
 
 
 def test_two_state_file_round_trips_byte_identically(two_state):
@@ -253,3 +444,78 @@ def test_predicate_at_depth_cap_emits_and_parses_back_at_default_recursion_limit
     deeper = Sfa(interval_binding(), ("q",), "q", set(), (Transition("q", Not(pred), "q"),))
     with pytest.raises(FormatError, match=f"at most {MAX_PRED_DEPTH} levels"):
         parse_sfa(emit_sfa(deeper))
+
+
+def tree_nodes(p):
+    """Every node of p, a node reached twice listed twice."""
+    if isinstance(p, (And, Or)):
+        return [p] + [n for c in p.children for n in tree_nodes(c)]
+    if isinstance(p, Not):
+        return [p] + tree_nodes(p.child)
+    return [p]
+
+
+def fresh(p):
+    """p rebuilt with a new object for every node."""
+    if isinstance(p, (And, Or)):
+        return type(p)(tuple(fresh(c) for c in p.children))
+    if isinstance(p, Not):
+        return Not(fresh(p.child))
+    if isinstance(p, Atom):
+        return Atom(copy.copy(p.payload))
+    return p
+
+
+def unshared(a):
+    return Sfa(a.binding, a.states, a.initial, a.accepting,
+               tuple(Transition(t.src, fresh(t.pred), t.dst) for t in a.transitions))
+
+
+def shared_samples():
+    rng = random.Random(509)
+    samples = []
+    for _ in range(25):
+        samples.append(rand_sfa(rng, interval_binding(), n_max=5, m_max=4, pred_size=6))
+        samples.append(rand_det_interval_sfa(rng))
+        samples.append(rand_sfa(rng, propositional_binding(["p1", "p2", "p3"]), n_max=5, m_max=4, pred_size=6))
+        samples.append(rand_det_prop_sfa(rng))
+        samples.append(rand_neat_prop_sfa(rng))
+    return samples
+
+
+def test_parse_builds_each_distinct_atom_and_connective_once():
+    p, q = ia(0, 5), ia(7, POS_INF)
+    either = Or((p, Not(p)))
+    preds = (p, either, And((either, q)), Not(p), Or((p, Not(p))), And((q, either)), TRUE)
+    a = Sfa(interval_binding(), ("q0",), "q0", set(), tuple(Transition("q0", x, "q0") for x in preds))
+    b = parse_sfa(emit_sfa(a))
+    assert b == a
+    every = [n for t in b.transitions for n in tree_nodes(t.pred)]
+    ids = {}
+    for n in every:
+        ids.setdefault(n, set()).add(id(n))
+    assert all(len(objects) == 1 for objects in ids.values())
+    assert len(ids) == 7 < len(every)  # [0,5) [7,inf) not either and(either,q) and(q,either) true
+    assert b.transitions[1].pred is b.transitions[4].pred is b.transitions[2].pred.children[0]
+
+
+def test_parse_shares_equal_predicates_of_seeded_automata():
+    shared = 0
+    for a in shared_samples():
+        b = parse_sfa(emit_sfa(a))
+        every = [n for t in b.transitions for n in tree_nodes(t.pred)]
+        distinct = set(every)
+        assert len({id(n) for n in every}) == len(distinct)
+        shared += len(every) - len(distinct)
+    assert shared > 100
+
+
+def test_emit_and_dot_write_shared_and_separate_predicates_alike():
+    """Equal predicates as one object (a parsed file) or as separate
+    objects give byte-identical file and DOT text."""
+    for a in shared_samples():
+        separate = unshared(a)
+        b = parse_sfa(emit_sfa(separate))
+        assert b == separate
+        assert emit_sfa(b) == emit_sfa(separate) == reference_emit(a)
+        assert export_dot(b) == export_dot(separate)

@@ -6,7 +6,9 @@ import pytest
 from symfa import (
     And,
     Atom,
+    FormatError,
     IntervalAtom,
+    LiteralAtom,
     NEG_INF,
     Not,
     OpCounters,
@@ -28,10 +30,13 @@ from symfa import (
     mk_or,
     propositional_binding,
     size_triple,
+    emit_sfa,
+    parse_sfa,
     to_normalized,
     validate,
 )
 from symfa.oracle import concretize, default_alphabet
+from symfa.serialize import MAX_PRED_DEPTH
 from symfa.sfa import rename_states
 from genlib import (
     rand_det_interval_sfa,
@@ -82,6 +87,40 @@ def test_validate_flags_a_non_predicate_at_any_depth():
         assert validate(a) == ["not a predicate: 'junk'"]
         with pytest.raises(TypeError, match="not a predicate"):
             membership(a, [0])
+
+
+def test_validate_flags_an_unhashable_non_predicate_without_raising():
+    assert validate(one_state(And((ia(0, 5), ["junk"])))) == ["not a predicate: ['junk']"]
+
+
+def nested_nots(levels, atom=None):
+    pred = atom or ia(0, 1)
+    for _ in range(levels - 1):
+        pred = Not(pred)
+    return pred
+
+
+@pytest.mark.parametrize("levels", [MAX_PRED_DEPTH + 1, 400])
+def test_validate_reports_a_predicate_no_file_can_hold(levels):
+    """emit_sfa writes such a predicate, and parse_sfa refuses the file."""
+    assert validate(one_state(nested_nots(MAX_PRED_DEPTH))) == []
+    a = one_state(nested_nots(levels))
+    assert validate(a) == [f"predicate nested {levels} levels deep (at most {MAX_PRED_DEPTH} levels)"]
+    with pytest.raises(FormatError, match=f"at most {MAX_PRED_DEPTH} levels"):
+        parse_sfa(emit_sfa(a))
+
+
+def test_validate_walks_any_depth_without_recursing():
+    """3,000 levels is past the recursion limit: the walk and the duplicate
+    check must not recurse (the two equal edges are not compared)."""
+    deep = nested_nots(3000, Atom(LiteralAtom(0)))
+    t = Transition("q0", deep, "q0")
+    a = Sfa(interval_binding(), ("q0",), "q0", set(), (t, t))
+    once = [
+        f"predicate nested 3000 levels deep (at most {MAX_PRED_DEPTH} levels)",
+        "interval algebra got atom LiteralAtom(var=0, negated=False)",
+    ]
+    assert validate(a) == once + once
 
 
 def test_two_state_is_deterministic(two_state):
